@@ -15,6 +15,7 @@ from .analysis import (
     OptimalAllocation,
     OptimalityReport,
     h2_closed_form,
+    h2_fleet_closed_form,
     h2_frequency_weighted,
     h2_gramian,
     modal_decompose,

@@ -1,11 +1,17 @@
 """H2 performance, modal decomposition, and steady-state optimal allocation.
 
-Two independent routes exist for the squared H2 norm: the observability
-Gramian (valid only when no derivative-measurement noise couples into the
-loop) and direct frequency-domain quadrature of the weighted transfer
-function, which handles the correlated w3 = d/dt w2 channel by substituting
-s * w2 for it.  A nonzero high-frequency feedthrough on the substituted
-channel makes the norm infinite; the limiting gain is reported instead.
+Every squared H2 norm follows one exact route.  The derivative-measurement
+channel is the derivative of the frequency-measurement channel, w3 = s*w2,
+so the noise-to-frequency transfer function is
+    G(s) = C (sI - A)^-1 [B1 | B2 + s*B3]
+         = [C (sI - A)^-1 B1 | C (sI - A)^-1 (B2 + A B3) + C B3].
+A nonzero direct term C B3 makes the norm infinite; its largest singular
+value is reported as the limiting gain.  Otherwise the uniform-angle mode,
+which is unobservable and sits on the imaginary axis, is projected out and
+the norm is trace(B_eff^T X B_eff) with B_eff = [B1 | B2 + A B3] and X the
+observability Gramian, solved exactly by the Bartels-Stewart algorithm.
+The solver rejects state matrices with eigenvalues on or right of the
+imaginary axis and solutions whose residual is not small.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ __all__ = [
     "OptimalAllocation",
     "OptimalityReport",
     "h2_closed_form",
+    "h2_fleet_closed_form",
     "h2_frequency_weighted",
     "h2_gramian",
     "modal_decompose",
@@ -38,13 +45,6 @@ __all__ = [
 
 # Limiting gains below this are treated as roundoff, not true feedthrough.
 FEEDTHROUGH_TOL = 1e-9
-# Quadrature grid: points per decade, base decade range, and the relative
-# contribution threshold that stops the decade extension.
-QUAD_POINTS_PER_DECADE = 2000
-QUAD_DECADE_LO = -4
-QUAD_DECADE_HI = 4
-QUAD_TAIL_REL = 1e-6
-QUAD_MAX_EXTRA_DECADES = 10
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,11 @@ class H2Result:
 
 
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Solve A^T X + X A + Q = 0 as a dense vectorized (Kronecker) system.
+    """Solve A^T X + X A + Q = 0 by the Bartels-Stewart algorithm.
 
     A must be Hurwitz; eigenvalues on or right of the imaginary axis are
-    rejected (deflate structural zero modes before calling).  The state
-    dimension stays small here, so the O(d^6) solve is acceptable and keeps
-    the implementation independent of library Lyapunov routines.
+    rejected (deflate structural zero modes before calling), and so is a
+    solution whose residual exceeds 1e-8 * ||Q||.
     """
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -85,9 +84,7 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
             "state matrix has eigenvalues on the imaginary axis; "
             "project out the structural zero mode before solving"
         )
-    ident = np.eye(d)
-    system = np.kron(a.T, ident) + np.kron(ident, a.T)
-    x = np.linalg.solve(system, -q.reshape(-1)).reshape(d, d)
+    x = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
     x = 0.5 * (x + x.T)
     residual = np.linalg.norm(a.T @ x + x @ a + q)
     bound = 1e-8 * max(np.linalg.norm(q), 1e-30)
@@ -117,19 +114,30 @@ def _deflate(a, b, c, null_vectors):
     return w.T @ a @ w, w.T @ b, c @ w
 
 
-def _gramian_norm(a, b, c, null_vectors=None) -> float:
+def _h2(a, b, c, null_vectors) -> H2Result:
+    """Squared H2 norm of (A, [B1 | B2 | B3], C) with w3 = s*w2.
+
+    B holds the three noise channels in equal column blocks.  C B3 is read
+    before the deflation, which leaves it unchanged because the projected-out
+    directions are unobservable.
+    """
+    k = b.shape[1] // 3
+    feedthrough = c @ b[:, 2 * k :]
+    gain = float(np.linalg.norm(feedthrough, 2)) if feedthrough.size else 0.0
+    if gain > FEEDTHROUGH_TOL:
+        return H2Result(kind="infinite", feedthrough_gain=gain)
     at, bt, ct = _deflate(a, b, c, null_vectors)
+    b_eff = np.hstack([bt[:, :k], bt[:, k : 2 * k] + at @ bt[:, 2 * k :]])
     x = solve_lyapunov(at, ct.T @ ct)
-    value = float(np.trace(bt.T @ x @ bt))
-    return max(value, 0.0)
+    return H2Result(kind="finite", value=max(float(np.trace(b_eff.T @ x @ b_eff)), 0.0))
 
 
 def h2_gramian(model: StateSpaceModel) -> H2Result:
     """Squared H2 norm via the observability Gramian (needs k3 decoupled).
 
     Refuses models with derivative-measurement noise in the loop, because
-    w3 is then the derivative of w2 rather than an independent channel; use
-    :func:`h2_frequency_weighted` for those.
+    w3 is then the derivative of w2 rather than an independent channel;
+    :func:`h2_frequency_weighted` runs the same route on those.
     """
     if model.derivative_noise_present:
         raise ValidationError(
@@ -137,8 +145,7 @@ def h2_gramian(model: StateSpaceModel) -> H2Result:
             "the Gramian formula assumes independent channels - use "
             "h2_frequency_weighted instead"
         )
-    value = _gramian_norm(model.a, model.b, model.c, model.rotation_null_vector)
-    return H2Result(kind="finite", value=value)
+    return _h2(model.a, model.b, model.c, model.rotation_null_vector)
 
 
 def h2_closed_form(kind: str, n: int, m: float, d: float, r_g: float,
@@ -167,116 +174,14 @@ def h2_closed_form(kind: str, n: int, m: float, d: float, r_g: float,
     raise ValidationError(f"unknown closed form kind {kind!r} (expected DC or SWING)")
 
 
-class _Resolvent:
-    """Fast evaluator of squared Frobenius norms ||C (iw I - A)^-1 B||_F^2.
-
-    Uses an eigendecomposition of A when it is well conditioned, falling
-    back to batched direct solves otherwise.
-    """
-
-    def __init__(self, a, b, c):
-        self.a = a
-        self.b = b
-        self.c = c
-        self._eig = None
-        try:
-            lam, vec = np.linalg.eig(a)
-            if np.linalg.cond(vec) < 1e10:
-                p = c @ vec
-                q = np.linalg.solve(vec, b)
-                weights = (p.conj().T @ p) * (q @ q.conj().T).T
-                self._eig = (lam, weights)
-        except np.linalg.LinAlgError:
-            pass
-
-    def frob_sq(self, omegas: np.ndarray) -> np.ndarray:
-        if self._eig is not None:
-            lam, weights = self._eig
-            e = 1.0 / (1j * omegas[:, None] - lam[None, :])
-            return np.einsum("fa,ab,fb->f", e.conj(), weights, e).real
-        out = np.empty(omegas.size)
-        dim = self.a.shape[0]
-        chunk = max(1, int(2.0e6 / (dim * dim)))
-        for start in range(0, omegas.size, chunk):
-            w = omegas[start : start + chunk]
-            systems = 1j * w[:, None, None] * np.eye(dim) - self.a
-            sol = np.linalg.solve(systems, np.broadcast_to(self.b, (w.size, *self.b.shape)))
-            g = self.c @ sol
-            out[start : start + chunk] = np.sum(np.abs(g) ** 2, axis=(1, 2))
-        return out
-
-
-def _weighted_quadrature(a, b_eff, c) -> float:
-    """(1/2pi) * integral over all real frequencies of ||G(iw)||_F^2.
-
-    Trapezoid rule on a log grid (QUAD_POINTS_PER_DECADE per decade over
-    10^QUAD_DECADE_LO..10^QUAD_DECADE_HI rad/s), extended decade by decade
-    while the newest decade still contributes >= QUAD_TAIL_REL of the total.
-    A flat strip below the grid and a 1/w^2 tail above it close the ends.
-    By symmetry the two-sided integral is twice the one-sided one.
-    """
-    if not np.any(b_eff):
-        return 0.0
-    resolvent = _Resolvent(a, b_eff, c)
-
-    def decade(dec):
-        omegas = np.logspace(dec, dec + 1, QUAD_POINTS_PER_DECADE + 1)
-        return float(np.trapezoid(resolvent.frob_sq(omegas), omegas))
-
-    total = sum(decade(d) for d in range(QUAD_DECADE_LO, QUAD_DECADE_HI))
-    hi = QUAD_DECADE_HI
-    for _ in range(QUAD_MAX_EXTRA_DECADES):
-        contribution = decade(hi)
-        total += contribution
-        hi += 1
-        if contribution < QUAD_TAIL_REL * total:
-            break
-    else:
-        tail = float(resolvent.frob_sq(np.array([10.0**hi]))[0]) * 10.0**hi
-        raise NumericalError(
-            "frequency quadrature did not converge: partial value "
-            f"{total / np.pi:.6e}, tail bound {tail / np.pi:.3e}"
-        )
-
-    omega_lo = 10.0**QUAD_DECADE_LO
-    strip = float(resolvent.frob_sq(np.array([omega_lo]))[0]) * omega_lo
-    omega_hi = 10.0**hi
-    tail = float(resolvent.frob_sq(np.array([omega_hi]))[0]) * omega_hi
-    return (total + strip + tail) / np.pi
-
-
 def h2_frequency_weighted(model: StateSpaceModel) -> H2Result:
     """Squared H2 norm with the derivative-noise channel folded into w2.
 
-    Substituting w3(s) = s*w2(s) gives the effective transfer
-    G(s) = C (sI - A)^-1 [B1 | B2 + s*B3]
-         = [C (sI - A)^-1 B1 | C (sI - A)^-1 (B2 + A B3) + C B3].
-    A nonzero direct term C B3 means the norm is infinite; its largest
-    singular value is returned as the limiting gain (cross-checked against
-    the transfer function evaluated at 1 MHz).  Otherwise the strictly
-    proper effective system is integrated numerically.
+    Returns "infinite" with the limiting gain when C B3 is nonzero, and the
+    exact finite value otherwise (see the module docstring).  Without
+    derivative noise B3 is zero and this equals :func:`h2_gramian`.
     """
-    feedthrough = model.c @ model.b_w3
-    gain = float(np.linalg.norm(feedthrough, 2)) if feedthrough.size else 0.0
-
-    at, bt, ct = _deflate(model.a, model.b, model.c, model.rotation_null_vector)
-    n = model.n_buses
-    b1, b2, b3 = bt[:, :n], bt[:, n : 2 * n], bt[:, 2 * n :]
-
-    if gain > FEEDTHROUGH_TOL:
-        omega_check = 2.0 * np.pi * 1e6
-        g2 = np.linalg.solve(1j * omega_check * np.eye(at.shape[0]) - at,
-                             b2 + 1j * omega_check * b3)
-        numeric = float(np.linalg.norm(ct @ g2, 2))
-        if abs(numeric - gain) > 1e-4 * (1.0 + gain):
-            raise NumericalError(
-                f"feedthrough cross-check failed: analytic {gain:.6e} vs "
-                f"numeric {numeric:.6e} at 1 MHz"
-            )
-        return H2Result(kind="infinite", feedthrough_gain=gain)
-
-    b_eff = np.hstack([b1, b2 + at @ b3])
-    return H2Result(kind="finite", value=_weighted_quadrature(at, b_eff, ct))
+    return _h2(model.a, model.b, model.c, model.rotation_null_vector)
 
 
 @dataclass(frozen=True)
@@ -333,6 +238,23 @@ def _homogeneous_scalars(network: PowerNetwork, configs, noise):
         out["delta"] = uniform([c.delta for c in configs], "delta")
         out["nu"] = uniform([c.nu for c in configs], "nu")
     return out
+
+
+def h2_fleet_closed_form(network: PowerNetwork, configs, noise) -> float:
+    """Closed-form squared H2 norm of a homogeneous all-DC or all-CP fleet.
+
+    Heterogeneous fleets and VI or IDROOP fleets have no closed form and
+    are rejected.
+    """
+    p = _homogeneous_scalars(network, configs, noise)
+    n = network.n_buses
+    if p["mode"] is InverterMode.DC:
+        return h2_closed_form("DC", n, p["m"], p["d"], p["r_g"], p["r_r"], p["k1"], p["k2"])
+    if p["mode"] is InverterMode.CP:
+        return h2_closed_form("SWING", n, p["m"], p["d"], p["r_g"], k1=p["k1"])
+    raise ValidationError(
+        f"no closed form for an all-{p['mode'].value} fleet (only DC and CP/swing)"
+    )
 
 
 def _mode_system(lam, p) -> ModeSystem:
@@ -400,23 +322,10 @@ def modal_decompose(network: PowerNetwork, configs, noise=None) -> ModalDecompos
     return ModalDecomposition(eigenvalues=eigenvalues, transform=transform, modes=modes)
 
 
-def _mode_norm(mode: ModeSystem) -> H2Result:
-    b3 = mode.b[:, 2:3]
-    if mode.derivative_noise_present:
-        gain = float(np.abs(mode.c @ b3).max())
-        if gain > FEEDTHROUGH_TOL:
-            return H2Result(kind="infinite", feedthrough_gain=gain)
-        at, bt, ct = _deflate(mode.a, mode.b, mode.c, mode.null_vector)
-        b_eff = np.hstack([bt[:, :1], bt[:, 1:2] + at @ bt[:, 2:3]])
-        return H2Result(kind="finite", value=_weighted_quadrature(at, b_eff, ct))
-    value = _gramian_norm(mode.a, mode.b, mode.c, mode.null_vector)
-    return H2Result(kind="finite", value=value)
-
-
 def mode_norms(decomposition: ModalDecomposition) -> list[H2Result]:
     """Squared H2 norm of each decoupled mode; their sum equals the
     full-model norm because the modal transform is orthonormal."""
-    return [_mode_norm(mode) for mode in decomposition.modes]
+    return [_h2(mode.a, mode.b, mode.c, mode.null_vector) for mode in decomposition.modes]
 
 
 @dataclass(frozen=True)

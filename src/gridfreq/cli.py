@@ -15,15 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    h2_closed_form,
+    h2_fleet_closed_form,
     h2_frequency_weighted,
-    h2_gramian,
     mode_norms,
     modal_decompose,
     verify_steady_state_optimality,
-    _homogeneous_scalars,
 )
-from .control import InverterMode, check_decentralized_stability
+from .control import check_decentralized_stability
 from .dynamics import assemble_closed_loop, steady_state
 from .errors import GridFreqError, NumericalError, ValidationError
 from .io import load_document, reduce_document
@@ -84,14 +82,13 @@ def _steady_state_cmd(args) -> int:
     return EXIT_OK
 
 
-def _write_trajectory_csv(path: Path, trajectory) -> None:
-    n = trajectory.omega_dev.shape[1]
+def _write_trajectory_csv(path: Path, trajectory, bus_ids) -> None:
     header = (
         ["t"]
-        + [f"theta_dev_{i}" for i in range(n)]
-        + [f"omega_dev_{i}" for i in range(n)]
-        + [f"q_r_dev_{i}" for i in range(n)]
-        + [f"x_{i}" for i in trajectory.idroop_buses]
+        + [f"theta_dev_{i}" for i in bus_ids]
+        + [f"omega_dev_{i}" for i in bus_ids]
+        + [f"q_r_dev_{i}" for i in bus_ids]
+        + [f"x_{bus_ids[i]}" for i in trajectory.idroop_buses]
     )
     blocks = [
         trajectory.times[:, None],
@@ -131,7 +128,7 @@ def _simulate_cmd(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_trajectory_csv(out_dir / TRAJECTORY_CSV, trajectory)
+    _write_trajectory_csv(out_dir / TRAJECTORY_CSV, trajectory, system.bus_ids)
     summary = {
         "nadir": metrics.nadir,
         "settling_frequency": metrics.settling_frequency,
@@ -146,32 +143,15 @@ def _simulate_cmd(args) -> int:
 def _h2_cmd(args) -> int:
     system = _load_reduced(args.network)
     model = assemble_closed_loop(system.network, system.configs, system.noise)
-    if model.derivative_noise_present:
-        result = h2_frequency_weighted(model)
-        method = "frequency_weighted"
-    else:
-        result = h2_gramian(model)
-        method = "gramian"
-    summary = {"kind": result.kind, "method": method}
+    result = h2_frequency_weighted(model)
+    summary = {"kind": result.kind, "method": "gramian"}
     if result.is_finite:
         summary["value"] = result.value
     else:
         summary["feedthrough_gain"] = result.feedthrough_gain
 
     if args.closed_form:
-        params = _homogeneous_scalars(system.network, system.configs, system.noise)
-        mode = params["mode"]
-        n = system.network.n_buses
-        if mode is InverterMode.DC:
-            reference = h2_closed_form("DC", n, params["m"], params["d"], params["r_g"],
-                                       params["r_r"], params["k1"], params["k2"])
-        elif mode is InverterMode.CP:
-            reference = h2_closed_form("SWING", n, params["m"], params["d"], params["r_g"],
-                                       k1=params["k1"])
-        else:
-            raise ValidationError(
-                f"no closed form for an all-{mode.value} fleet (only DC and CP/swing)"
-            )
+        reference = h2_fleet_closed_form(system.network, system.configs, system.noise)
         summary["closed_form"] = reference
         if result.is_finite:
             summary["closed_form_relative_gap"] = abs(result.value - reference) / max(
@@ -184,12 +164,13 @@ def _h2_cmd(args) -> int:
 def _stability_cmd(args) -> int:
     system = _load_reduced(args.network)
     certificate = check_decentralized_stability(system.configs, system.network.buses)
+    bus_ids = system.bus_ids
     _emit(
         {
             "passed": certificate.passed,
             "conditions": [
                 {
-                    "bus": c.bus,
+                    "bus": bus_ids[c.bus],
                     "applies": c.applies,
                     "condition1": c.condition1,
                     "condition2": c.condition2,
@@ -209,10 +190,7 @@ def _modal_cmd(args) -> int:
     decomposition = modal_decompose(system.network, system.configs, system.noise)
     norms = mode_norms(decomposition)
     model = assemble_closed_loop(system.network, system.configs, system.noise)
-    if model.derivative_noise_present:
-        full = h2_frequency_weighted(model)
-    else:
-        full = h2_gramian(model)
+    full = h2_frequency_weighted(model)
     finite = [r.value for r in norms if r.is_finite]
     _emit(
         {
@@ -286,7 +264,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--stochastic", action="store_true")
     p.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("h2", help="squared H2 norm (Gramian or frequency-weighted, chosen automatically)")
+    p = sub.add_parser("h2", help='exact squared H2 norm, or "infinite" with its limiting gain')
     common(p)
     p.add_argument("--closed-form", action="store_true", dest="closed_form",
                    help="cross-check against the homogeneous closed form")

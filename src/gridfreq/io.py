@@ -9,6 +9,7 @@ to an identical in-memory model.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,10 +53,27 @@ class ReducedSystem:
     disturbances: tuple[Disturbance, ...]
     id_map: dict[int, int]
 
+    @property
+    def bus_ids(self) -> list[int]:
+        """Original document id of each reduced bus, in reduced order."""
+        return sorted(self.id_map, key=self.id_map.get)
+
 
 def _require(condition, message):
     if not condition:
         raise ValidationError(message)
+
+
+def _finite(value, field: str):
+    """A JSON number as a finite float; None (an absent optional field) passes."""
+    if value is None:
+        return None
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{field}: must be a number") from None
+    _require(math.isfinite(number), f"{field}: must be finite")
+    return number
 
 
 def parse_document(obj: dict) -> NetworkDocument:
@@ -65,24 +83,25 @@ def parse_document(obj: dict) -> NetworkDocument:
     _require(version == SCHEMA_VERSION, f"unsupported schema_version {version!r}")
 
     buses = []
-    for entry in obj.get("buses", []):
+    for k, entry in enumerate(obj.get("buses", [])):
+        where = f"buses[{k}]"
         buses.append(
             Bus(
                 id=int(entry["id"]),
                 kind=entry.get("kind", "generator"),
-                inertia=entry.get("inertia"),
-                damping=float(entry.get("damping", 0.0)),
-                governor_droop=entry.get("governor_droop"),
-                injection=float(entry.get("injection", 0.0)),
+                inertia=_finite(entry.get("inertia"), f"{where}.inertia"),
+                damping=_finite(entry.get("damping", 0.0), f"{where}.damping"),
+                governor_droop=_finite(entry.get("governor_droop"), f"{where}.governor_droop"),
+                injection=_finite(entry.get("injection", 0.0), f"{where}.injection"),
             )
         )
     lines = []
-    for entry in obj.get("lines", []):
+    for k, entry in enumerate(obj.get("lines", [])):
         lines.append(
             Line(
                 from_bus=int(entry["from"]),
                 to_bus=int(entry["to"]),
-                susceptance=float(entry["susceptance"]),
+                susceptance=_finite(entry["susceptance"], f"lines[{k}].susceptance"),
             )
         )
     network = PowerNetwork(buses=buses, lines=lines)
@@ -91,12 +110,13 @@ def parse_document(obj: dict) -> NetworkDocument:
 
     generator_ids = set(network.generator_ids)
     by_bus: dict[int, InverterConfig] = {}
-    for entry in obj.get("inverters", []):
+    for k, entry in enumerate(obj.get("inverters", [])):
         bus = int(entry["bus"])
         _require(bus in generator_ids, f"inverter entry references non-generator bus {bus}")
         _require(bus not in by_bus, f"duplicate inverter entry for bus {bus}")
         kwargs = {
-            key: entry[key] for key in ("q0", "r_r", "m_v", "delta", "nu") if key in entry
+            key: _finite(entry[key], f"inverters[{k}].{key}")
+            for key in ("q0", "r_r", "m_v", "delta", "nu") if key in entry
         }
         by_bus[bus] = InverterConfig(mode=InverterMode(entry["mode"]), **kwargs)
     inverters = tuple(
@@ -105,23 +125,22 @@ def parse_document(obj: dict) -> NetworkDocument:
     )
 
     noise_by_bus: dict[int, NoiseGains] = {}
-    for entry in obj.get("noise", []):
+    for k, entry in enumerate(obj.get("noise", [])):
         bus = int(entry["bus"])
         _require(0 <= bus < network.n_buses, f"noise entry references unknown bus {bus}")
         _require(bus not in noise_by_bus, f"duplicate noise entry for bus {bus}")
         noise_by_bus[bus] = NoiseGains(
-            k1=float(entry.get("k1", 0.0)),
-            k2=float(entry.get("k2", 0.0)),
-            k3=float(entry.get("k3", 0.0)),
+            **{key: _finite(entry.get(key, 0.0), f"noise[{k}].{key}") for key in ("k1", "k2", "k3")}
         )
     noise = tuple(noise_by_bus.get(i, NoiseGains()) for i in range(network.n_buses))
 
     disturbances = []
-    for entry in obj.get("disturbances", []):
+    for k, entry in enumerate(obj.get("disturbances", [])):
         bus = int(entry["bus"])
         _require(bus in generator_ids, f"disturbance targets non-generator bus {bus}")
         disturbances.append(
-            Disturbance(time=float(entry["time"]), bus=bus, delta_p=float(entry["delta_p"]))
+            Disturbance(time=_finite(entry["time"], f"disturbances[{k}].time"), bus=bus,
+                        delta_p=_finite(entry["delta_p"], f"disturbances[{k}].delta_p"))
         )
 
     return NetworkDocument(
@@ -185,8 +204,14 @@ def save_document(doc: NetworkDocument, path) -> None:
 
 
 def reduce_document(doc: NetworkDocument) -> ReducedSystem:
-    """Kron-reduce a document's network and re-index everything to it."""
+    """Kron-reduce a document's network and re-index everything to it.
+
+    Noise on a load bus has no channel in the reduced model and is rejected.
+    """
     reduced, id_map = kron_reduce_network(doc.network)
+    for bus in doc.network.buses:
+        _require(bus.id in id_map or doc.noise[bus.id] == NoiseGains(),
+                 f"noise on load bus {bus.id} is not supported; declare it on generator buses")
     noise = tuple(doc.noise[orig] for orig in sorted(id_map, key=id_map.get))
     disturbances = tuple(
         Disturbance(time=d.time, bus=id_map[d.bus], delta_p=d.delta_p)

@@ -1,7 +1,8 @@
 """Parameter sweeps over controller gains, producing metric grids.
 
-Grid points are independent, so they fan out across worker threads; rows
-are gathered back in grid order so output files are deterministic.
+Grid points are independent, so they fan out across a pool of
+SWEEP_WORKERS threads (one per core, at most four); rows are gathered back
+in grid order so output files are deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import h2_frequency_weighted, h2_gramian
+from .analysis import h2_frequency_weighted
 from .control import InverterMode
 from .dynamics import assemble_closed_loop
 from .errors import ValidationError
@@ -30,6 +31,7 @@ _PARAM_MODES = {
     "r_r": (InverterMode.DC, InverterMode.VI, InverterMode.IDROOP),
     "m_v": (InverterMode.VI,),
 }
+SWEEP_WORKERS = min(4, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,7 @@ def _override(config, name: str, value: float):
     return config
 
 
-def run_sweep(network, configs, noise, spec: SweepSpec, sim_config=None,
-              max_workers: int | None = None) -> list[tuple]:
+def run_sweep(network, configs, noise, spec: SweepSpec, sim_config=None) -> list[tuple]:
     """Evaluate the metric on the parameter grid.
 
     Returns rows (value_axis1, value_axis2 or None, metric), axis-1 major.
@@ -117,16 +118,12 @@ def run_sweep(network, configs, noise, spec: SweepSpec, sim_config=None,
             swept = [_override(c, axis.name, value) for c in swept]
         model = assemble_closed_loop(network, swept, noise)
         if spec.metric == "h2":
-            if model.derivative_noise_present:
-                result = h2_frequency_weighted(model)
-            else:
-                result = h2_gramian(model)
+            result = h2_frequency_weighted(model)
             return result.value if result.is_finite else float("inf")
         trajectory = simulate_deterministic(model, sim_config)
         return compute_metrics(trajectory).nadir
 
-    workers = max_workers or min(4, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(SWEEP_WORKERS) as pool:
         values = list(pool.map(evaluate, points))
 
     rows = []

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
+import oracles
 from gridfreq import (
+    Bus,
+    InverterConfig,
+    Line,
     NoiseGains,
     NumericalError,
+    PowerNetwork,
     ValidationError,
     assemble_closed_loop,
     h2_closed_form,
@@ -30,11 +34,11 @@ class TestSolveLyapunov:
         x = solve_lyapunov(np.array([[-2.0]]), np.array([[4.0]]))
         assert x[0, 0] == pytest.approx(1.0)
 
-    def test_two_by_two_against_scipy(self):
+    def test_two_by_two_against_kronecker(self):
         a = np.array([[0.0, 1.0], [-1.0, -1.0]])
         q = np.diag([0.0, 1.0])
         x = solve_lyapunov(a, q)
-        reference = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
+        reference = oracles.kronecker_lyapunov(a, q)
         assert np.allclose(x, reference, atol=1e-12)
         assert np.linalg.norm(a.T @ x + x @ a + q) < 1e-12
 
@@ -82,6 +86,16 @@ class TestH2Gramian:
         model = assemble_closed_loop(ten_bus, uniform_fleet(10, "CP"),
                                      [NoiseGains(k1=0.1)] * 10)
         reference = h2_closed_form("SWING", 10, 1.0, 0.1, 15.0, k1=0.1)
+        assert h2_gramian(model).value == pytest.approx(reference, rel=1e-9)
+
+    def test_hundred_bus_droop_ring_matches_closed_form(self):
+        n = 100
+        ring = PowerNetwork([Bus(id=i, inertia=1.0, damping=0.1, governor_droop=15.0)
+                             for i in range(n)],
+                            [Line(i, (i + 1) % n, 5.0) for i in range(n)])
+        model = assemble_closed_loop(ring, uniform_fleet(n, "DC", r_r=15.0),
+                                     [NoiseGains(k1=0.1, k2=5.0)] * n)
+        reference = h2_closed_form("DC", n, 1.0, 0.1, 15.0, 15.0, 0.1, 5.0)
         assert h2_gramian(model).value == pytest.approx(reference, rel=1e-9)
 
     def test_refuses_derivative_noise(self, ten_bus):
@@ -144,9 +158,10 @@ class TestFrequencyWeighted:
         noise = [NoiseGains(k1=0.1, k2=5.0)] * 10
         model = assemble_closed_loop(ten_bus, dc_fleet, noise)
         weighted = h2_frequency_weighted(model)
-        plain = h2_gramian(model)
+        reference = oracles.gramian_h2(*oracles.effective_system(model))
         assert weighted.kind == "finite"
-        assert weighted.value == pytest.approx(plain.value, rel=1e-4)
+        assert weighted.value == pytest.approx(reference, rel=1e-9)
+        assert h2_gramian(model).value == pytest.approx(reference, rel=1e-9)
 
     def test_idroop_beats_droop_at_small_nu(self, ten_bus):
         cfgs = uniform_fleet(10, "IDROOP", r_r=15.0, delta=6.0, nu=0.01)
@@ -160,9 +175,28 @@ class TestFrequencyWeighted:
         noise = [NoiseGains(k1=0.1, k2=5.0)] * 10
         model = assemble_closed_loop(ten_bus, idroop_fleet, noise)
         assert not model.derivative_noise_present
-        weighted = h2_frequency_weighted(model)
-        plain = h2_gramian(model)
-        assert weighted.value == pytest.approx(plain.value, rel=1e-4)
+        reference = oracles.gramian_h2(*oracles.effective_system(model))
+        assert h2_frequency_weighted(model).value == pytest.approx(reference, rel=1e-9)
+        assert h2_gramian(model).value == pytest.approx(reference, rel=1e-9)
+
+    def test_idroop_with_k3_matches_quadrature(self, ten_bus, idroop_fleet):
+        model = assemble_closed_loop(ten_bus, idroop_fleet, high_noise(10))
+        assert model.derivative_noise_present
+        result = h2_frequency_weighted(model)
+        reference = oracles.quadrature_h2(*oracles.effective_system(model))
+        assert result.kind == "finite"
+        assert result.value == pytest.approx(reference, rel=1e-6)
+
+    def test_feedthrough_gain_matches_high_frequency_response(self, ten_bus):
+        fleet = uniform_fleet(10, "IDROOP", r_r=15.0, delta=6.0, nu=0.9)
+        fleet[::2] = [InverterConfig.virtual_inertia(r_r=15.0, m_v=0.15)] * 5
+        model = assemble_closed_loop(ten_bus, fleet, high_noise(10))
+        result = h2_frequency_weighted(model)
+        assert result.kind == "infinite"
+        omega = 2.0 * np.pi * 1e6
+        response = model.c @ np.linalg.solve(1j * omega * np.eye(model.n_states) - model.a,
+                                             model.b_w2 + 1j * omega * model.b_w3)
+        assert result.feedthrough_gain == pytest.approx(np.linalg.norm(response, 2), rel=1e-6)
 
 
 class TestModal:

@@ -93,6 +93,7 @@ class TestDocument:
         system = reduce_document(parse_document(minimal_doc_obj()))
         assert system.network.n_buses == 2
         assert system.id_map == {0: 0, 2: 1}
+        assert system.bus_ids == [0, 2]
         assert system.disturbances[0].bus == 1
         # the load-bus injection redistributes evenly over the symmetric path
         assert np.allclose(system.network.injections(), [0.1, -0.1])
@@ -108,6 +109,7 @@ class TestCli:
         assert main(["h2", "--network", EXAMPLE_VI]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["kind"] == "infinite"
+        assert out["method"] == "gramian"
         assert out["feedthrough_gain"] == pytest.approx(0.6522, abs=5e-5)
 
     def test_h2_closed_form_cross_check(self, capsys):
@@ -268,6 +270,37 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
         assert main(["h2", "--network", str(path)]) == 1
+
+    def test_load_bus_noise_rejected(self, capsys, tmp_path):
+        obj = minimal_doc_obj()
+        obj["noise"] = [{"bus": 1, "k1": 0.5}]
+        path = tmp_path / "load-noise.json"
+        path.write_text(json.dumps(obj))
+        assert main(["h2", "--network", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "load bus 1" in err
+
+    def test_outputs_use_document_bus_ids(self, capsys, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(minimal_doc_obj()))
+        assert main(["stability", "--network", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [row["bus"] for row in out["conditions"]] == [0, 2]
+        assert main(["simulate", "--network", str(path), "--out", str(tmp_path),
+                     "--horizon", "1"]) == 0
+        header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
+        assert header.split(",") == ["t", "theta_dev_0", "theta_dev_2", "omega_dev_0",
+                                     "omega_dev_2", "q_r_dev_0", "q_r_dev_2", "x_0"]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_inertia_exits_one(self, capsys, tmp_path, value):
+        obj = minimal_doc_obj()
+        obj["buses"][2]["inertia"] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))  # writes NaN, Infinity or -Infinity
+        assert main(["steady-state", "--network", str(path)]) == 1
+        assert "buses[2].inertia: must be finite" in capsys.readouterr().err
 
     def test_numerical_failure_exits_two(self, capsys, tmp_path):
         # negative damping slips past static sign checks only if large enough
