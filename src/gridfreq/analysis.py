@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .control import InverterMode
-from .dynamics import StateSpaceModel, steady_state
+from .control import InverterMode, NoiseGains
+from .dynamics import StateSpaceModel, _loop_matrices, steady_state
 from .errors import NumericalError, ValidationError
 from .network import PowerNetwork, build_laplacian
 
@@ -195,7 +195,6 @@ class ModeSystem:
     b: np.ndarray
     c: np.ndarray
     null_vector: np.ndarray | None
-    derivative_noise_present: bool
 
 
 @dataclass(frozen=True)
@@ -257,46 +256,6 @@ def h2_fleet_closed_form(network: PowerNetwork, configs, noise) -> float:
     )
 
 
-def _mode_system(lam, p) -> ModeSystem:
-    mode = p["mode"]
-    m, d, r_g = p["m"], p["d"], p["r_g"]
-    k1, k2, k3 = p["k1"], p["k2"], p["k3"]
-    rg_inv = 1.0 / r_g
-    if mode is InverterMode.IDROOP:
-        rr_inv = 1.0 / p["r_r"]
-        delta, nu = p["delta"], p["nu"]
-        swing_damp = d + rg_inv
-        a = np.array(
-            [
-                [0.0, 1.0, 0.0],
-                [-lam / m, -swing_damp / m, 1.0 / m],
-                [nu * lam / m, -delta * rr_inv + nu * swing_damp / m, -delta - nu / m],
-            ]
-        )
-        b = np.array(
-            [
-                [0.0, 0.0, 0.0],
-                [k1 / m, 0.0, 0.0],
-                [-nu * k1 / m, -delta * k2 * rr_inv, -nu * k3],
-            ]
-        )
-        c = np.array([[0.0, 1.0, 0.0]])
-        null = np.array([1.0, 0.0, 0.0]) if abs(lam) < 1e-12 else None
-        return ModeSystem(float(lam), a, b, c, null, nu * k3 != 0.0)
-
-    rr_inv = 0.0 if mode is InverterMode.CP else 1.0 / p["r_r"]
-    m_v = p.get("m_v", 0.0)
-    m_hat = m + m_v
-    d_hat = d + rg_inv + rr_inv
-    a = np.array([[0.0, 1.0], [-lam / m_hat, -d_hat / m_hat]])
-    b = np.array(
-        [[0.0, 0.0, 0.0], [k1 / m_hat, -k2 * rr_inv / m_hat, -k3 * m_v / m_hat]]
-    )
-    c = np.array([[0.0, 1.0]])
-    null = np.array([1.0, 0.0]) if abs(lam) < 1e-12 else None
-    return ModeSystem(float(lam), a, b, c, null, m_v * k3 != 0.0)
-
-
 def modal_decompose(network: PowerNetwork, configs, noise=None) -> ModalDecomposition:
     """Decouple a homogeneous fleet into independent per-mode subsystems.
 
@@ -304,11 +263,9 @@ def modal_decompose(network: PowerNetwork, configs, noise=None) -> ModalDecompos
     the first column fixed to the uniform vector (the zero mode).  Requires
     identical parameters on every bus; heterogeneous input is rejected.
     """
-    from .control import NoiseGains
-
     if noise is None:
         noise = [NoiseGains() for _ in range(network.n_buses)]
-    params = _homogeneous_scalars(network, configs, noise)
+    _homogeneous_scalars(network, configs, noise)
     lap = build_laplacian(network)
     eigenvalues, transform = np.linalg.eigh(lap)
     eigenvalues = eigenvalues.copy()
@@ -318,7 +275,16 @@ def modal_decompose(network: PowerNetwork, configs, noise=None) -> ModalDecompos
     n = network.n_buses
     transform = transform.copy()
     transform[:, 0] = 1.0 / np.sqrt(n)
-    modes = tuple(_mode_system(lam, params) for lam in eigenvalues)
+    bus = network.buses[0]
+
+    def mode(lam):
+        loop = _loop_matrices(np.array([[lam]]), np.array([bus.inertia]),
+                              np.array([bus.damping + 1.0 / bus.governor_droop]),
+                              configs[:1], noise[:1])
+        null = np.eye(loop["a"].shape[0])[0] if abs(lam) < 1e-12 else None
+        return ModeSystem(float(lam), loop["a"], loop["b"], loop["c"], null)
+
+    modes = tuple(mode(lam) for lam in eigenvalues)
     return ModalDecomposition(eigenvalues=eigenvalues, transform=transform, modes=modes)
 
 

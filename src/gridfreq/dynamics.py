@@ -4,7 +4,10 @@ States are deviations about a synchronous steady state: per-bus angle and
 frequency deviations, plus one internal state per dynamic-droop inverter.
 The frequency-derivative feedback of VI and IDROOP units is eliminated by
 substituting the swing equation, so the model stays in explicit standard
-form (no descriptor mass matrix).
+form (no descriptor mass matrix).  This module is the one place where
+inverter configs become matrices: the state equation, the noise and
+injection inputs, and the inverter-power output.  Modal subsystems are the
+same loop built on a one-bus network.
 """
 
 from __future__ import annotations
@@ -55,20 +58,18 @@ class StateSpaceModel:
     z stacks (theta deviations, frequency deviations, idroop states); w
     stacks the three per-bus noise channels (w1 injection, w2 frequency
     measurement, w3 frequency-derivative measurement) and u is a per-bus
-    power-injection disturbance.  ``derivative_noise_present`` is set when
-    any bus couples k3 through a VI or IDROOP gain, in which case w3 is the
-    derivative of w2 and the plain Gramian norm does not apply.
+    power-injection disturbance.  The inverter-power deviation is
+    q_r_dev = power @ z + power_injection @ u.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     injection: np.ndarray
+    power: np.ndarray
+    power_injection: np.ndarray
     n_buses: int
     idroop_buses: tuple[int, ...]
-    state_labels: tuple[str, ...]
-    input_labels: tuple[str, ...]
-    derivative_noise_present: bool
     configs: tuple[InverterConfig, ...]
     noise: tuple[NoiseGains, ...]
     reference: SteadyState
@@ -88,6 +89,12 @@ class StateSpaceModel:
     @property
     def b_w3(self) -> np.ndarray:
         return self.b[:, 2 * self.n_buses :]
+
+    @property
+    def derivative_noise_present(self) -> bool:
+        """True when a bus couples k3 through a VI or IDROOP gain: w3 is then
+        the derivative of w2 and the plain Gramian norm does not apply."""
+        return bool(np.any(self.b_w3))
 
     @property
     def rotation_null_vector(self) -> np.ndarray:
@@ -157,6 +164,66 @@ def steady_state(network: PowerNetwork, configs) -> SteadyState:
     )
 
 
+def _loop_matrices(laplacian, inertia, damping, configs, noise) -> dict:
+    """A, B, C, F and the inverter-power output of one closed loop.
+
+    ``damping`` is each bus's load damping plus its governor slope 1/r_g.
+    The deviation of the commanded inverter power is
+    q_r_dev = power @ z + power_injection @ u: -omega/r_r for DC, that less
+    m_v*omega_dot for VI (omega_dot read off the swing rows of A and F), the
+    internal state x for IDROOP and zero for CP.  The keys are the matching
+    :class:`StateSpaceModel` fields.
+    """
+    n = laplacian.shape[0]
+    static_rr_inv = np.array(
+        [1.0 / c.r_r if c.mode in (InverterMode.DC, InverterMode.VI) else 0.0 for c in configs]
+    )
+    m_v = np.array([c.m_v if c.mode is InverterMode.VI else 0.0 for c in configs])
+    m_hat = inertia + m_v
+    d_hat = damping + static_rr_inv
+
+    idroop_buses = tuple(i for i, c in enumerate(configs) if c.mode is InverterMode.IDROOP)
+    ids = np.array(idroop_buses, dtype=int)
+    delta = np.array([configs[i].delta for i in idroop_buses])
+    nu = np.array([configs[i].nu for i in idroop_buses])
+    rr_inv_id = np.array([1.0 / configs[i].r_r for i in idroop_buses])
+    k1, k2, k3 = (np.array([getattr(g, k) for g in noise]) for k in ("k1", "k2", "k3"))
+
+    dim = 2 * n + ids.size
+    w = slice(n, 2 * n)
+    xs = 2 * n + np.arange(ids.size)
+    a = np.zeros((dim, dim))
+    a[:n, w] = np.eye(n)
+    a[w, :n] = -laplacian / m_hat[:, None]
+    a[w, w] = -np.diag(d_hat / m_hat)
+    a[n + ids, xs] = 1.0 / m_hat[ids]
+    # x_dot = -delta*(omega/r_r + x) - nu*omega_dot, with omega_dot
+    # replaced by the swing equation of the inverter's bus.
+    a[xs, :n] = nu[:, None] * laplacian[ids] / m_hat[ids, None]
+    a[xs, n + ids] = -delta * rr_inv_id + nu * d_hat[ids] / m_hat[ids]
+    a[xs, xs] = -delta - nu / m_hat[ids]
+
+    injection = np.zeros((dim, n))
+    injection[w] = np.diag(1.0 / m_hat)
+    injection[xs, ids] = -nu / m_hat[ids]
+
+    b = np.zeros((dim, 3 * n))
+    b[:, :n] = injection * k1[None, :]
+    b[w, n : 2 * n] = np.diag(-static_rr_inv * k2 / m_hat)
+    b[w, 2 * n :] = np.diag(-m_v * k3 / m_hat)
+    b[xs, n + ids] = -delta * k2[ids] * rr_inv_id
+    b[xs, 2 * n + ids] = -nu * k3[ids]
+
+    c = np.zeros((n, dim))
+    c[:, w] = np.eye(n)
+
+    power = -m_v[:, None] * a[w]
+    power[:, w] -= np.diag(static_rr_inv)
+    power[ids, xs] = 1.0
+    return dict(a=a, b=b, c=c, injection=injection, power=power,
+                power_injection=-m_v[:, None] * injection[w], idroop_buses=idroop_buses)
+
+
 def assemble_closed_loop(network: PowerNetwork, configs,
                          noise=None) -> StateSpaceModel:
     """Build the deviation-coordinate closed loop for an arbitrary fleet mix.
@@ -177,83 +244,9 @@ def assemble_closed_loop(network: PowerNetwork, configs,
         noise = tuple(noise)
         if len(noise) != n:
             raise ValidationError(f"need one NoiseGains per bus, got {len(noise)}")
-
-    modes = [c.mode for c in configs]
-    static_rr_inv = np.array(
-        [1.0 / c.r_r if c.mode in (InverterMode.DC, InverterMode.VI) else 0.0 for c in configs]
-    )
-    m_v = np.array([c.m_v if c.mode is InverterMode.VI else 0.0 for c in configs])
-    m_hat = m + m_v
-    d_hat = d + rg_inv + static_rr_inv
-
-    idroop_buses = tuple(i for i, c in enumerate(configs) if c.mode is InverterMode.IDROOP)
-    n_x = len(idroop_buses)
-    delta = np.array([configs[i].delta for i in idroop_buses])
-    nu = np.array([configs[i].nu for i in idroop_buses])
-    rr_inv_id = np.array([1.0 / configs[i].r_r for i in idroop_buses])
-
-    lap = build_laplacian(network)
-    k1 = np.array([g.k1 for g in noise])
-    k2 = np.array([g.k2 for g in noise])
-    k3 = np.array([g.k3 for g in noise])
-
-    dim = 2 * n + n_x
-    a = np.zeros((dim, dim))
-    a[:n, n : 2 * n] = np.eye(n)
-    a[n : 2 * n, :n] = -lap / m_hat[:, None]
-    a[n : 2 * n, n : 2 * n] = -np.diag(d_hat / m_hat)
-    for j, i in enumerate(idroop_buses):
-        a[n + i, 2 * n + j] = 1.0 / m_hat[i]
-    for j, i in enumerate(idroop_buses):
-        # x_dot = -delta*(omega/r_r + x) - nu*omega_dot, with omega_dot
-        # replaced by the swing equation of bus i.
-        a[2 * n + j, :n] = nu[j] * lap[i, :] / m_hat[i]
-        a[2 * n + j, n + i] += -delta[j] * rr_inv_id[j] + nu[j] * d_hat[i] / m_hat[i]
-        a[2 * n + j, 2 * n + j] += -delta[j]
-        for k, i2 in enumerate(idroop_buses):
-            a[2 * n + j, 2 * n + k] += -nu[j] * (1.0 if i2 == i else 0.0) / m_hat[i]
-
-    injection = np.zeros((dim, n))
-    injection[n : 2 * n, :] = np.diag(1.0 / m_hat)
-    for j, i in enumerate(idroop_buses):
-        injection[2 * n + j, i] = -nu[j] / m_hat[i]
-
-    b = np.zeros((dim, 3 * n))
-    b[:, :n] = injection * k1[None, :]
-    for i in range(n):
-        b[n + i, n + i] = -static_rr_inv[i] * k2[i] / m_hat[i]
-        b[n + i, 2 * n + i] = -m_v[i] * k3[i] / m_hat[i]
-    for j, i in enumerate(idroop_buses):
-        b[2 * n + j, n + i] = -delta[j] * k2[i] * rr_inv_id[j]
-        b[2 * n + j, 2 * n + i] = -nu[j] * k3[i]
-
-    c = np.zeros((n, dim))
-    c[:, n : 2 * n] = np.eye(n)
-
-    derivative_noise = bool(np.any(m_v * k3 != 0.0)) or bool(
-        np.any(nu * k3[list(idroop_buses)] != 0.0) if n_x else False
-    )
-
-    labels = (
-        tuple(f"theta_dev_{i}" for i in range(n))
-        + tuple(f"omega_dev_{i}" for i in range(n))
-        + tuple(f"x_{i}" for i in idroop_buses)
-    )
-    input_labels = (
-        tuple(f"w1_{i}" for i in range(n))
-        + tuple(f"w2_{i}" for i in range(n))
-        + tuple(f"w3_{i}" for i in range(n))
-    )
     return StateSpaceModel(
-        a=a,
-        b=b,
-        c=c,
-        injection=injection,
+        **_loop_matrices(build_laplacian(network), m, d + rg_inv, configs, noise),
         n_buses=n,
-        idroop_buses=idroop_buses,
-        state_labels=labels,
-        input_labels=input_labels,
-        derivative_noise_present=derivative_noise,
         configs=configs,
         noise=noise,
         reference=steady_state(network, configs),

@@ -64,84 +64,112 @@ def _require(condition, message):
         raise ValidationError(message)
 
 
-def _finite(value, field: str):
-    """A JSON number as a finite float; None (an absent optional field) passes."""
-    if value is None:
-        return None
+def _finite(value, field: str) -> float:
+    """A JSON number (not a string or boolean) as a finite float."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+             f"{field}: must be a number")
     try:
         number = float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{field}: must be a number") from None
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
     _require(math.isfinite(number), f"{field}: must be finite")
     return number
 
 
+def _integer(value, field: str) -> int:
+    _require(isinstance(value, int) and not isinstance(value, bool),
+             f"{field}: must be an integer")
+    return value
+
+
+def _mode(value, field: str) -> InverterMode:
+    modes = [m.value for m in InverterMode]
+    _require(value in modes, f"{field}: unknown mode {value!r}; expected one of {modes}")
+    return InverterMode(value)
+
+
+_REQUIRED = object()
+
+
+def _field(entry: dict, key: str, where: str, convert, default=_REQUIRED):
+    """entry[key] through convert; an absent or null key takes the default."""
+    if entry.get(key) is None:
+        _require(default is not _REQUIRED, f"{where}.{key}: missing")
+        return default
+    return convert(entry[key], f"{where}.{key}")
+
+
+def _entries(obj: dict, key: str):
+    """Yield (path, entry) for each object in the list obj[key], which may be absent."""
+    entries = obj.get(key, [])
+    _require(isinstance(entries, list), f"{key}: must be a list")
+    for k, entry in enumerate(entries):
+        _require(isinstance(entry, dict), f"{key}[{k}]: must be an object")
+        yield f"{key}[{k}]", entry
+
+
 def parse_document(obj: dict) -> NetworkDocument:
-    """Build a document from a decoded JSON object, validating as we go."""
+    """Build a document from a decoded JSON object, validating as we go.
+
+    Schema errors name the field, e.g. ``lines[0].susceptance: missing``.
+    """
     _require(isinstance(obj, dict), "document root must be an object")
     version = obj.get("schema_version")
     _require(version == SCHEMA_VERSION, f"unsupported schema_version {version!r}")
 
-    buses = []
-    for k, entry in enumerate(obj.get("buses", [])):
-        where = f"buses[{k}]"
-        buses.append(
-            Bus(
-                id=int(entry["id"]),
-                kind=entry.get("kind", "generator"),
-                inertia=_finite(entry.get("inertia"), f"{where}.inertia"),
-                damping=_finite(entry.get("damping", 0.0), f"{where}.damping"),
-                governor_droop=_finite(entry.get("governor_droop"), f"{where}.governor_droop"),
-                injection=_finite(entry.get("injection", 0.0), f"{where}.injection"),
-            )
+    buses = [
+        Bus(
+            id=_field(entry, "id", where, _integer),
+            kind=entry.get("kind", "generator"),
+            inertia=_field(entry, "inertia", where, _finite, None),
+            damping=_field(entry, "damping", where, _finite, 0.0),
+            governor_droop=_field(entry, "governor_droop", where, _finite, None),
+            injection=_field(entry, "injection", where, _finite, 0.0),
         )
-    lines = []
-    for k, entry in enumerate(obj.get("lines", [])):
-        lines.append(
-            Line(
-                from_bus=int(entry["from"]),
-                to_bus=int(entry["to"]),
-                susceptance=_finite(entry["susceptance"], f"lines[{k}].susceptance"),
-            )
+        for where, entry in _entries(obj, "buses")
+    ]
+    lines = [
+        Line(
+            from_bus=_field(entry, "from", where, _integer),
+            to_bus=_field(entry, "to", where, _integer),
+            susceptance=_field(entry, "susceptance", where, _finite),
         )
+        for where, entry in _entries(obj, "lines")
+    ]
     network = PowerNetwork(buses=buses, lines=lines)
     violations = validate_network(network)
     _require(not violations, "invalid network: " + "; ".join(violations))
 
     generator_ids = set(network.generator_ids)
     by_bus: dict[int, InverterConfig] = {}
-    for k, entry in enumerate(obj.get("inverters", [])):
-        bus = int(entry["bus"])
+    for where, entry in _entries(obj, "inverters"):
+        bus = _field(entry, "bus", where, _integer)
         _require(bus in generator_ids, f"inverter entry references non-generator bus {bus}")
         _require(bus not in by_bus, f"duplicate inverter entry for bus {bus}")
-        kwargs = {
-            key: _finite(entry[key], f"inverters[{k}].{key}")
-            for key in ("q0", "r_r", "m_v", "delta", "nu") if key in entry
-        }
-        by_bus[bus] = InverterConfig(mode=InverterMode(entry["mode"]), **kwargs)
+        kwargs = {key: _finite(entry[key], f"{where}.{key}")
+                  for key in ("q0", "r_r", "m_v", "delta", "nu") if entry.get(key) is not None}
+        by_bus[bus] = InverterConfig(mode=_field(entry, "mode", where, _mode), **kwargs)
     inverters = tuple(
         by_bus.get(bus_id, InverterConfig.constant_power(0.0))
         for bus_id in sorted(generator_ids)
     )
 
     noise_by_bus: dict[int, NoiseGains] = {}
-    for k, entry in enumerate(obj.get("noise", [])):
-        bus = int(entry["bus"])
+    for where, entry in _entries(obj, "noise"):
+        bus = _field(entry, "bus", where, _integer)
         _require(0 <= bus < network.n_buses, f"noise entry references unknown bus {bus}")
         _require(bus not in noise_by_bus, f"duplicate noise entry for bus {bus}")
         noise_by_bus[bus] = NoiseGains(
-            **{key: _finite(entry.get(key, 0.0), f"noise[{k}].{key}") for key in ("k1", "k2", "k3")}
+            **{key: _field(entry, key, where, _finite, 0.0) for key in ("k1", "k2", "k3")}
         )
     noise = tuple(noise_by_bus.get(i, NoiseGains()) for i in range(network.n_buses))
 
     disturbances = []
-    for k, entry in enumerate(obj.get("disturbances", [])):
-        bus = int(entry["bus"])
+    for where, entry in _entries(obj, "disturbances"):
+        bus = _field(entry, "bus", where, _integer)
         _require(bus in generator_ids, f"disturbance targets non-generator bus {bus}")
-        disturbances.append(
-            Disturbance(time=_finite(entry["time"], f"disturbances[{k}].time"), bus=bus,
-                        delta_p=_finite(entry["delta_p"], f"disturbances[{k}].delta_p"))
-        )
+        disturbances.append(Disturbance(time=_field(entry, "time", where, _finite), bus=bus,
+                                        delta_p=_field(entry, "delta_p", where, _finite)))
 
     return NetworkDocument(
         schema_version=version,

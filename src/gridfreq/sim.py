@@ -12,6 +12,9 @@ and the difference quotient of the same w2 path for the derivative channel
 w3 (the only discrete reading consistent with w3 = d/dt w2).  The variance
 injected through w3 grows like 1/dt; that is the mechanism behind the
 unbounded norm of derivative feedback and is deliberately not suppressed.
+
+The inverter-power trace is the model's output q_r_dev = power @ z +
+power_injection @ u, so the control laws are encoded in dynamics only.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import InverterMode
 from .dynamics import StateSpaceModel, SteadyState
 from .errors import SimulationDiverged, ValidationError
 
@@ -130,18 +132,7 @@ def _extract_trajectory(model: StateSpaceModel, times, states, u) -> Trajectory:
     theta = states[:, :n]
     omega = states[:, n : 2 * n]
     x_dev = states[:, 2 * n :]
-    # drift part of the frequency derivative; used for the VI power trace
-    omega_dot = states @ model.a[n : 2 * n].T + u @ model.injection[n : 2 * n].T
-
-    q_r = np.zeros((times.size, n))
-    x_col = {bus: k for k, bus in enumerate(model.idroop_buses)}
-    for i, cfg in enumerate(model.configs):
-        if cfg.mode is InverterMode.DC:
-            q_r[:, i] = -omega[:, i] / cfg.r_r
-        elif cfg.mode is InverterMode.VI:
-            q_r[:, i] = -omega[:, i] / cfg.r_r - cfg.m_v * omega_dot[:, i]
-        elif cfg.mode is InverterMode.IDROOP:
-            q_r[:, i] = x_dev[:, x_col[i]]
+    q_r = states @ model.power.T + u @ model.power_injection.T
     x_abs = x_dev + model.reference.x_star[None, :] if x_dev.shape[1] else x_dev
     return Trajectory(
         times=times,

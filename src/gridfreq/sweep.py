@@ -1,15 +1,13 @@
 """Parameter sweeps over controller gains, producing metric grids.
 
-Grid points are independent, so they fan out across a pool of
-SWEEP_WORKERS threads (one per core, at most four); rows are gathered back
-in grid order so output files are deterministic.
+Grid points are evaluated one after another in grid order, axis-1 major,
+so output files are deterministic.  Each point is a small dense solve;
+a thread pool over the points measured slower than this serial loop.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -31,7 +29,6 @@ _PARAM_MODES = {
     "r_r": (InverterMode.DC, InverterMode.VI, InverterMode.IDROOP),
     "m_v": (InverterMode.VI,),
 }
-SWEEP_WORKERS = min(4, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -123,12 +120,7 @@ def run_sweep(network, configs, noise, spec: SweepSpec, sim_config=None) -> list
         trajectory = simulate_deterministic(model, sim_config)
         return compute_metrics(trajectory).nadir
 
-    with ThreadPoolExecutor(SWEEP_WORKERS) as pool:
-        values = list(pool.map(evaluate, points))
-
-    rows = []
-    for point, value in zip(points, values):
-        first = float(point[0])
-        second = float(point[1]) if len(point) == 2 else None
-        rows.append((first, second, float(value)))
-    return rows
+    return [
+        (float(point[0]), float(point[1]) if len(point) == 2 else None, float(evaluate(point)))
+        for point in points
+    ]

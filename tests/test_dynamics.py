@@ -12,12 +12,22 @@ from gridfreq import (
     assemble_closed_loop,
     build_laplacian,
     check_decentralized_stability,
+    idroop_step,
+    inverter_power,
+    modal_decompose,
     simulate_deterministic,
     steady_state,
     sync_frequency,
     uniform_fleet,
 )
-from conftest import high_noise, random_connected_network, ten_bus_network
+from conftest import high_noise, path_network, random_connected_network, ten_bus_network
+
+FLEETS = {
+    "CP": {},
+    "DC": {"r_r": 15.0},
+    "VI": {"r_r": 15.0, "m_v": 0.15},
+    "IDROOP": {"r_r": 15.0, "delta": 6.0, "nu": 0.9},
+}
 
 
 def single_bus(p_in=1.0, d=0.1, r_g=15.0):
@@ -158,26 +168,59 @@ class TestAssembleClosedLoop:
         assert np.allclose(model.b_w3[n:], -np.eye(n) * 5.0 * 0.15 / m_hat)
         assert model.derivative_noise_present
 
-    def test_droop_modal_transform_decouples(self, ten_bus, dc_fleet):
-        # orthonormal Laplacian transform turns the fleet into 2x2 modes
+    @pytest.mark.parametrize("mode", sorted(FLEETS))
+    def test_droop_modal_transform_decouples(self, ten_bus, mode):
+        # The orthonormal Laplacian transform turns a homogeneous fleet into
+        # independent modes, and each ModeSystem is the matching diagonal
+        # block of the full model seen in that basis.
+        cfgs = uniform_fleet(10, mode, **FLEETS[mode])
         noise = high_noise(10)
-        model = assemble_closed_loop(ten_bus, dc_fleet, noise)
-        lap = build_laplacian(ten_bus)
-        lam, u = np.linalg.eigh(lap)
-        n = 10
-        t = np.zeros((2 * n, 2 * n))
-        t[:n, :n] = u
-        t[n:, n:] = u
+        model = assemble_closed_loop(ten_bus, cfgs, noise)
+        decomposition = modal_decompose(ten_bus, cfgs, noise)
+        lam, u = decomposition.eigenvalues, decomposition.transform
+        n, k_states = 10, model.n_states // 10
+        t = np.kron(np.eye(k_states), u)
         a_modal = t.T @ model.a @ t
-        d_hat = 0.1 + 2.0 / 15.0
-        for k in range(n):
-            block = a_modal[np.ix_([k, n + k], [k, n + k])]
-            expected = np.array([[0.0, 1.0], [-lam[k], -d_hat]])
-            assert np.allclose(block, expected, atol=1e-9)
-        off = a_modal.copy()
-        for k in range(n):
-            off[np.ix_([k, n + k], [k, n + k])] = 0.0
-        assert np.abs(off).max() < 1e-9
+        b_modal = t.T @ model.b @ np.kron(np.eye(3), u)
+        off_a, off_b = a_modal.copy(), b_modal.copy()
+        for k, mode_system in enumerate(decomposition.modes):
+            rows = [k + n * s for s in range(k_states)]
+            cols = [k, n + k, 2 * n + k]
+            assert np.abs(a_modal[np.ix_(rows, rows)] - mode_system.a).max() < 1e-12
+            assert np.abs(b_modal[np.ix_(rows, cols)] - mode_system.b).max() < 1e-12
+            assert mode_system.c.tolist() == [[0.0, 1.0] + [0.0] * (k_states - 2)]
+            if mode == "DC":
+                expected = np.array([[0.0, 1.0], [-lam[k], -(0.1 + 2.0 / 15.0)]])
+                assert np.allclose(mode_system.a, expected, atol=1e-9)
+            off_a[np.ix_(rows, rows)] = 0.0
+            off_b[np.ix_(rows, cols)] = 0.0
+        assert np.abs(off_a).max() < 1e-12
+        assert np.abs(off_b).max() < 1e-12
+
+    def test_control_laws_match_scalar_references(self):
+        # A path with one bus per mode and two iDroop buses: the inverter-power
+        # output must be inverter_power and the iDroop state rows must be
+        # idroop_step, each evaluated at the bus's omega, omega_dot and x.
+        net = path_network(5, susceptance=2.0, inertia=1.7)
+        cfgs = [InverterConfig.constant_power(q0=0.3), InverterConfig.droop(q0=-0.2, r_r=12.0),
+                InverterConfig.virtual_inertia(q0=0.1, r_r=9.0, m_v=0.4),
+                InverterConfig.idroop(q0=0.5, r_r=15.0, delta=6.0, nu=0.9),
+                InverterConfig.idroop(r_r=7.0, delta=2.5, nu=0.3)]
+        model = assemble_closed_loop(net, cfgs, high_noise(5))
+        assert model.power.shape == (5, 12) and model.power_injection.shape == (5, 5)
+        x_index = {3: 10, 4: 11}
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            z, u = rng.standard_normal(12), rng.standard_normal(5)
+            q_r = model.power @ z + model.power_injection @ u
+            rate = model.a @ z + model.injection @ u
+            for i, cfg in enumerate(cfgs):
+                x = z[x_index[i]] if i in x_index else None
+                expected = inverter_power(cfg, z[5 + i], rate[5 + i], x) - cfg.q0
+                assert q_r[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
+                if i in x_index:
+                    x_rate = idroop_step(cfg, z[5 + i], rate[5 + i], x)
+                    assert rate[x_index[i]] == pytest.approx(x_rate, rel=1e-12)
 
     def test_rotation_vector_in_null_space(self):
         rng = np.random.default_rng(17)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gridfreq import (
     ValidationError,
@@ -319,3 +320,73 @@ class TestCli:
         path = tmp_path / "undamped.json"
         path.write_text(json.dumps(obj))
         assert main(["h2", "--network", str(path)]) == 2
+
+
+DELETE = object()
+
+
+def _edit(obj, path, value):
+    """Set the entry at a key/index path inside obj, or delete it."""
+    *parents, key = path
+    for step in parents:
+        obj = obj[step]
+    if value is DELETE:
+        del obj[key]
+    else:
+        obj[key] = value
+
+
+SCHEMA_ERRORS = [
+    (("buses", 0, "id"), DELETE, "buses[0].id: missing"),
+    (("lines", 0, "susceptance"), DELETE, "lines[0].susceptance: missing"),
+    (("disturbances", 0, "delta_p"), DELETE, "disturbances[0].delta_p: missing"),
+    (("inverters", 0, "mode"), "XX", "inverters[0].mode: unknown mode 'XX'"),
+    (("inverters", 0, "bus"), "x", "inverters[0].bus: must be an integer"),
+    (("buses",), {"0": {"id": 0}}, "buses: must be a list"),
+    (("lines", 1), 5, "lines[1]: must be an object"),
+    (("lines", 1, "susceptance"), "2.0", "lines[1].susceptance: must be a number"),
+    (("buses", 2, "inertia"), 10**400, "buses[2].inertia: must be finite"),
+]
+
+
+def _json_paths(node, prefix=()):
+    """Every key or index path inside a decoded JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    paths = []
+    for key, value in items:
+        paths.append(prefix + (key,))
+        paths += _json_paths(value, prefix + (key,))
+    return paths
+
+
+class TestSchemaErrors:
+    @pytest.mark.parametrize("field,value,message", SCHEMA_ERRORS,
+                             ids=[message.split(":")[0] for *_, message in SCHEMA_ERRORS])
+    def test_malformed_document_names_the_field(self, capsys, tmp_path, field, value, message):
+        obj = minimal_doc_obj()
+        _edit(obj, field, value)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert main(["steady-state", "--network", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert message in err
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_document_never_raises(self, tmp_path, data):
+        obj = json.loads(Path(EXAMPLE).read_text())
+        replacement = st.one_of(
+            st.just(DELETE), st.text(max_size=6), st.none(),
+            st.lists(st.integers(), max_size=2),
+            st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+        _edit(obj, data.draw(st.sampled_from(_json_paths(obj))), data.draw(replacement))
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(obj))
+        assert main(["steady-state", "--network", str(path)]) in (0, 1, 2)
