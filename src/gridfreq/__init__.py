@@ -43,7 +43,9 @@ from .io import (
     ReducedSystem,
     document_to_obj,
     load_document,
+    load_sweep_spec,
     parse_document,
+    parse_sweep_spec,
     reduce_document,
     save_document,
 )
@@ -66,6 +68,6 @@ from .sim import (
     simulate_deterministic,
     simulate_stochastic,
 )
-from .sweep import SweepAxis, SweepSpec, load_sweep_spec, parse_sweep_spec, run_sweep
+from .sweep import SweepAxis, SweepSpec, run_sweep
 
 __version__ = "0.1.0"

@@ -24,9 +24,9 @@ from .analysis import (
 from .control import check_decentralized_stability
 from .dynamics import assemble_closed_loop, steady_state
 from .errors import GridFreqError, NumericalError, ValidationError
-from .io import load_document, reduce_document
+from .io import load_document, load_sweep_spec, reduce_document
 from .sim import SimConfig, compute_metrics, simulate_deterministic, simulate_stochastic
-from .sweep import load_sweep_spec, run_sweep
+from .sweep import run_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -140,15 +140,18 @@ def _simulate_cmd(args) -> int:
     return EXIT_OK
 
 
+def _h2_value(result) -> dict:
+    """The JSON field of an H2 result: its value, or the limiting gain when infinite."""
+    if result.is_finite:
+        return {"value": result.value}
+    return {"feedthrough_gain": result.feedthrough_gain}
+
+
 def _h2_cmd(args) -> int:
     system = _load_reduced(args.network)
     model = assemble_closed_loop(system.network, system.configs, system.noise)
     result = h2_frequency_weighted(model)
-    summary = {"kind": result.kind, "method": "gramian"}
-    if result.is_finite:
-        summary["value"] = result.value
-    else:
-        summary["feedthrough_gain"] = result.feedthrough_gain
+    summary = {"kind": result.kind, "method": "gramian", **_h2_value(result)}
 
     if args.closed_form:
         reference = h2_fleet_closed_form(system.network, system.configs, system.noise)
@@ -196,14 +199,11 @@ def _modal_cmd(args) -> int:
         {
             "eigenvalues": decomposition.eigenvalues.tolist(),
             "mode_norms": [
-                {"eigenvalue": float(lam), "kind": r.kind,
-                 **({"value": r.value} if r.is_finite else {"feedthrough_gain": r.feedthrough_gain})}
+                {"eigenvalue": float(lam), "kind": r.kind, **_h2_value(r)}
                 for lam, r in zip(decomposition.eigenvalues, norms)
             ],
             "sum_of_modes": sum(finite) if len(finite) == len(norms) else None,
-            "full_model": {"kind": full.kind,
-                           **({"value": full.value} if full.is_finite
-                              else {"feedthrough_gain": full.feedthrough_gain})},
+            "full_model": {"kind": full.kind, **_h2_value(full)},
         }
     )
     return EXIT_OK

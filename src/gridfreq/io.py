@@ -1,9 +1,11 @@
-"""Network document ingestion and emission (versioned JSON schema).
+"""Network document ingestion and emission (versioned JSON schema), and
+sweep-spec ingestion.
 
 A document carries buses, lines, per-generator inverter configs, per-bus
 noise gains and optional scheduled injection steps.  Parsing and rendering
 round-trip exactly: a document emitted by :func:`document_to_obj` re-parses
-to an identical in-memory model.
+to an identical in-memory model.  Documents and sweep specs share one JSON
+reader, and their schema errors name the field in the same way.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .control import InverterConfig, InverterMode, NoiseGains
 from .errors import ValidationError
 from .network import Bus, Line, PowerNetwork, kron_reduce_network, validate_network
 from .sim import Disturbance
+from .sweep import AXIS_NAMES, SweepAxis, SweepSpec
 
 __all__ = [
     "NetworkDocument",
@@ -24,7 +27,9 @@ __all__ = [
     "SCHEMA_VERSION",
     "document_to_obj",
     "load_document",
+    "load_sweep_spec",
     "parse_document",
+    "parse_sweep_spec",
     "reduce_document",
     "save_document",
 ]
@@ -181,6 +186,32 @@ def parse_document(obj: dict) -> NetworkDocument:
     )
 
 
+def parse_sweep_spec(obj: dict) -> SweepSpec:
+    """Build a sweep spec from a decoded JSON object; errors name the field,
+    e.g. ``axes[0].min: missing``."""
+    _require(isinstance(obj, dict), "sweep spec root must be an object")
+    entries = list(_entries(obj, "axes"))
+    _require(1 <= len(entries) <= 2, "sweep needs one or two axes")
+    axes = []
+    for where, entry in entries:
+        name = entry.get("name")
+        _require(name in AXIS_NAMES,
+                 f"{where}.name: unknown sweep axis {name!r}; expected one of {AXIS_NAMES}")
+        count = _field(entry, "count", where, _integer)
+        _require(count >= 2, f"{where}.count: must be >= 2")
+        spacing = entry.get("spacing", "linear")
+        _require(spacing in ("linear", "log"), f"{where}.spacing: must be linear or log")
+        minimum, maximum = (_field(entry, key, where, _finite) for key in ("min", "max"))
+        _require(spacing == "linear" or (minimum > 0 and maximum > 0),
+                 f"{where}: log spacing needs positive bounds")
+        axes.append(SweepAxis(name=name, minimum=minimum, maximum=maximum,
+                              count=count, spacing=spacing))
+    metric = obj.get("metric")
+    _require(metric in ("h2", "nadir"),
+             f"metric: unknown sweep metric {metric!r}; expected h2 or nadir")
+    return SweepSpec(axes=tuple(axes), metric=metric)
+
+
 def document_to_obj(doc: NetworkDocument) -> dict:
     """Render a document back to a JSON-ready object with stable key order."""
     obj: dict = {"schema_version": doc.schema_version}
@@ -218,13 +249,20 @@ def document_to_obj(doc: NetworkDocument) -> dict:
     return obj
 
 
-def load_document(path) -> NetworkDocument:
+def _read_json(path):
     text = Path(path).read_text()
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_document(obj)
+
+
+def load_document(path) -> NetworkDocument:
+    return parse_document(_read_json(path))
+
+
+def load_sweep_spec(path) -> SweepSpec:
+    return parse_sweep_spec(_read_json(path))
 
 
 def save_document(doc: NetworkDocument, path) -> None:

@@ -3,11 +3,12 @@
 Deterministic runs integrate the linear deviation dynamics with classical
 fourth-order Runge-Kutta steps; because the system is linear and inputs are
 frozen over each step, the whole update collapses into two precomputed
-matrices, which also makes stochastic runs reduce bit-for-bit to the
-deterministic ones when every noise gain is zero.
+matrices, z+ = phi @ z + psi @ u.  The inputs enter as one drive psi @ u
+computed before the march, so each step is z+ = phi @ z + drive[k].  A run
+that overflows is caught by one scan for non-finite values after the march.
 
-Stochastic runs add Euler-Maruyama noise increments on top of the same
-drift update: Gaussian increments of variance dt per channel for w1 and w2,
+Stochastic runs add Euler-Maruyama noise increments into the same drive,
+in place: Gaussian increments of variance dt per channel for w1 and w2,
 and the difference quotient of the same w2 path for the derivative channel
 w3 (the only discrete reading consistent with w3 = d/dt w2).  The variance
 injected through w3 grows like 1/dt; that is the mechanism behind the
@@ -57,10 +58,10 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "disturbances", tuple(self.disturbances))
-        if self.dt <= 0:
-            raise ValidationError("dt must be > 0")
-        if self.dt > self.horizon:
-            raise ValidationError("dt must not exceed the horizon")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValidationError(f"dt must be finite and > 0, got {self.dt}")
+        if not (np.isfinite(self.horizon) and self.horizon >= self.dt):
+            raise ValidationError(f"horizon must be finite and at least dt, got {self.horizon}")
         for dist in self.disturbances:
             if not 0.0 <= dist.time <= self.horizon:
                 raise ValidationError(
@@ -118,26 +119,23 @@ def _input_schedule(config: SimConfig, n_buses: int, times: np.ndarray) -> np.nd
     """Per-sample injection vector; events snap to the first grid point at or
     after their nominal time."""
     u = np.zeros((times.size, n_buses))
-    dt = config.dt
     for dist in config.disturbances:
         if not 0 <= dist.bus < n_buses:
             raise ValidationError(f"disturbance bus {dist.bus} out of range")
-        start = int(np.ceil(dist.time / dt - 1e-9))
+        start = int(np.ceil(dist.time / config.dt - 1e-9))
         u[start:, dist.bus] += dist.delta_p
     return u
 
 
 def _extract_trajectory(model: StateSpaceModel, times, states, u) -> Trajectory:
     n = model.n_buses
-    theta = states[:, :n]
-    omega = states[:, n : 2 * n]
     x_dev = states[:, 2 * n :]
     q_r = states @ model.power.T + u @ model.power_injection.T
     x_abs = x_dev + model.reference.x_star[None, :] if x_dev.shape[1] else x_dev
     return Trajectory(
         times=times,
-        theta_dev=theta,
-        omega_dev=omega,
+        theta_dev=states[:, :n],
+        omega_dev=states[:, n : 2 * n],
         q_r_dev=q_r,
         x=x_abs,
         idroop_buses=model.idroop_buses,
@@ -150,23 +148,26 @@ def _march(model, config, initial_state, noise_increments=None) -> Trajectory:
     n_steps = int(round(config.horizon / config.dt))
     times = np.arange(n_steps + 1) * config.dt
     u = _input_schedule(config, model.n_buses, times)
-    phi, psi = _rk4_propagators(model.a, model.injection, config.dt)
 
     dim = model.n_states
     z = np.zeros(dim) if initial_state is None else np.asarray(initial_state, dtype=float).copy()
-    if z.shape != (dim,):
-        raise ValidationError(f"initial state must have shape ({dim},)")
-    states = np.empty((n_steps + 1, dim))
-    states[0] = z
-    for k in range(n_steps):
-        z = phi @ z + psi @ u[k]
+    if z.shape != (dim,) or not np.all(np.isfinite(z)):
+        raise ValidationError(f"initial state must be a finite vector of shape ({dim},)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi, psi = _rk4_propagators(model.a, model.injection, config.dt)
+        drive = u[:-1] @ psi.T
         if noise_increments is not None:
-            z = z + noise_increments[k]
-        if not np.all(np.isfinite(z)):
-            raise SimulationDiverged(
-                f"simulation diverged at t={times[k + 1]:.6g}", float(times[k]), states[k].copy()
-            )
-        states[k + 1] = z
+            drive = np.add(noise_increments, drive, out=noise_increments)
+        states = np.empty((n_steps + 1, dim))
+        states[0] = z
+        for k in range(n_steps):
+            z = states[k + 1] = phi @ z + drive[k]
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        k = int(finite.argmin())  # first non-finite sample; k >= 1
+        raise SimulationDiverged(
+            f"simulation diverged at t={times[k]:.6g}", float(times[k - 1]), states[k - 1].copy()
+        )
     return _extract_trajectory(model, times, states, u)
 
 
@@ -196,10 +197,9 @@ def simulate_stochastic(model: StateSpaceModel, config: SimConfig,
     scale = np.sqrt(config.dt)
     dw1 = rng.standard_normal((n_steps, n)) * scale
     dw2 = rng.standard_normal((n_steps, n)) * scale
-    dw3 = np.empty_like(dw2)
-    dw3[0] = dw2[0]
-    dw3[1:] = dw2[1:] - dw2[:-1]
+    dw3 = np.diff(dw2, axis=0, prepend=0.0)
     increments = dw1 @ model.b_w1.T + dw2 @ model.b_w2.T + (dw3 / config.dt) @ model.b_w3.T
+    del dw1, dw2, dw3  # free them before the march holds the drive and the states
     return _march(model, config, initial_state, noise_increments=increments)
 
 

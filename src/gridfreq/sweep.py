@@ -7,28 +7,18 @@ a thread pool over the points measured slower than this serial loop.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .analysis import h2_frequency_weighted
-from .control import InverterMode
 from .dynamics import assemble_closed_loop
 from .errors import ValidationError
 from .sim import compute_metrics, simulate_deterministic
 
-__all__ = ["SweepAxis", "SweepSpec", "load_sweep_spec", "parse_sweep_spec", "run_sweep"]
+__all__ = ["SweepAxis", "SweepSpec", "run_sweep"]
 
 AXIS_NAMES = ("delta", "nu", "r_r", "m_v")
-# which modes a swept parameter applies to
-_PARAM_MODES = {
-    "delta": (InverterMode.IDROOP,),
-    "nu": (InverterMode.IDROOP,),
-    "r_r": (InverterMode.DC, InverterMode.VI, InverterMode.IDROOP),
-    "m_v": (InverterMode.VI,),
-}
 
 
 @dataclass(frozen=True)
@@ -51,42 +41,13 @@ class SweepSpec:
     metric: str  # "h2" | "nadir"
 
 
-def parse_sweep_spec(obj: dict) -> SweepSpec:
-    axes = []
-    raw_axes = obj.get("axes", [])
-    if not 1 <= len(raw_axes) <= 2:
-        raise ValidationError("sweep needs one or two axes")
-    for raw in raw_axes:
-        name = raw.get("name")
-        if name not in AXIS_NAMES:
-            raise ValidationError(f"unknown sweep axis {name!r}; expected one of {AXIS_NAMES}")
-        count = int(raw.get("count", 0))
-        if count < 2:
-            raise ValidationError(f"axis {name}: count must be >= 2")
-        spacing = raw.get("spacing", "linear")
-        if spacing not in ("linear", "log"):
-            raise ValidationError(f"axis {name}: spacing must be linear or log")
-        minimum, maximum = float(raw["min"]), float(raw["max"])
-        if spacing == "log" and (minimum <= 0 or maximum <= 0):
-            raise ValidationError(f"axis {name}: log spacing needs positive bounds")
-        axes.append(SweepAxis(name=name, minimum=minimum, maximum=maximum,
-                              count=count, spacing=spacing))
-    metric = obj.get("metric")
-    if metric not in ("h2", "nadir"):
-        raise ValidationError(f"unknown sweep metric {metric!r}; expected h2 or nadir")
-    return SweepSpec(axes=tuple(axes), metric=metric)
-
-
-def load_sweep_spec(path) -> SweepSpec:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_sweep_spec(obj)
-
-
 def _override(config, name: str, value: float):
-    if config.mode in _PARAM_MODES[name]:
+    """Apply a swept value wherever the config carries that parameter.
+
+    InverterConfig refuses m_v, delta and nu on modes that do not use them
+    and requires r_r where it is used; an r_r on a CP config is read by no law.
+    """
+    if getattr(config, name) is not None:
         return replace(config, **{name: float(value)})
     return config
 

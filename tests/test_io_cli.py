@@ -349,6 +349,32 @@ SCHEMA_ERRORS = [
 ]
 
 
+def _axis(**fields):
+    return {"name": "nu", "min": 0.1, "max": 1.0, "count": 3, **fields}
+
+
+SWEEP_SPEC_ERRORS = {
+    "min-missing": ({"axes": [{"name": "nu", "max": 1.0, "count": 3}], "metric": "h2"},
+                    "axes[0].min: missing"),
+    "count-string": ({"axes": [_axis(count="x")], "metric": "h2"},
+                     "axes[0].count: must be an integer"),
+    "count-fraction": ({"axes": [_axis(count=2.7)], "metric": "h2"},
+                       "axes[0].count: must be an integer"),
+    "min-nan": ({"axes": [_axis(min=float("nan"))], "metric": "h2"},
+                "axes[0].min: must be finite"),
+    "root-list": ([_axis()], "sweep spec root must be an object"),
+    "axis-number": ({"axes": [_axis(), 5], "metric": "h2"}, "axes[1]: must be an object"),
+    "axes-object": ({"axes": _axis(), "metric": "h2"}, "axes: must be a list"),
+}
+
+NON_FINITE_FLAGS = {
+    "dt-nan": (["--dt", "nan"], "dt must be finite"),
+    "dt-inf-horizon-inf": (["--dt", "inf", "--horizon", "inf"], "dt must be finite"),
+    "horizon-inf": (["--horizon", "inf"], "horizon must be finite"),
+    "horizon-nan": (["--horizon", "nan"], "horizon must be finite"),
+}
+
+
 def _json_paths(node, prefix=()):
     """Every key or index path inside a decoded JSON document."""
     if isinstance(node, dict):
@@ -373,6 +399,25 @@ class TestSchemaErrors:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
         assert main(["steady-state", "--network", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert message in err
+
+    @pytest.mark.parametrize("spec,message", SWEEP_SPEC_ERRORS.values(),
+                             ids=SWEEP_SPEC_ERRORS.keys())
+    def test_malformed_sweep_spec_names_the_field(self, capsys, tmp_path, spec, message):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(spec))  # writes NaN as a bare literal
+        assert main(["sweep", "--network", EXAMPLE, "--sweep", str(path),
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert message in err
+
+    @pytest.mark.parametrize("flags,message", NON_FINITE_FLAGS.values(),
+                             ids=NON_FINITE_FLAGS.keys())
+    def test_non_finite_step_flags_rejected(self, capsys, tmp_path, flags, message):
+        assert main(["simulate", "--network", EXAMPLE, "--out", str(tmp_path), *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert message in err

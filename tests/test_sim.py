@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from gridfreq import (
     uniform_fleet,
 )
 from conftest import high_noise, ten_bus_network
+import oracles
 
 STEP = (Disturbance(time=1.0, bus=9, delta_p=-0.5),)
 
@@ -42,6 +45,9 @@ class TestSimConfig:
             SimConfig(dt=2.0, horizon=1.0)
         with pytest.raises(ValidationError):
             SimConfig(dt=0.1, horizon=1.0, disturbances=(Disturbance(5.0, 0, 1.0),))
+        for dt, horizon in [(np.nan, 1.0), (np.inf, np.inf), (0.01, np.inf), (0.01, np.nan)]:
+            with pytest.raises(ValidationError, match="must be finite"):
+                SimConfig(dt=dt, horizon=horizon)
 
 
 class TestDeterministic:
@@ -113,6 +119,49 @@ class TestDeterministic:
         post = steady_state(stepped_network(net), cfgs)
         metrics = compute_metrics(trajectory, post)
         assert metrics.settling_frequency == pytest.approx(post.omega0, abs=1e-4)
+
+
+FLEETS = {
+    "CP": {},
+    "DC": {"r_r": 15.0},
+    "VI": {"r_r": 15.0, "m_v": 0.15},
+    "IDROOP": {"r_r": 15.0, "delta": 6.0, "nu": 0.9},
+}
+
+
+class TestMarchAgainstReference:
+    """The precomputed-drive march against the per-step reference loop."""
+
+    @pytest.mark.parametrize("mode", FLEETS)
+    def test_deterministic_is_bitwise_equal(self, ten_bus, mode):
+        model = assemble_closed_loop(ten_bus, uniform_fleet(10, mode, **FLEETS[mode]))
+        config = SimConfig(dt=0.01, horizon=5.0, disturbances=STEP)
+        start = np.random.default_rng(0).normal(scale=0.1, size=model.n_states)
+        states = simulate_deterministic(model, config, initial_state=start).states
+        assert np.array_equal(states, oracles.reference_march(model, config, start))
+
+    @pytest.mark.parametrize("disturbances", [(), STEP], ids=["noise-only", "with-step"])
+    @pytest.mark.parametrize("mode", FLEETS)
+    def test_stochastic_matches(self, ten_bus, mode, disturbances):
+        model = assemble_closed_loop(ten_bus, uniform_fleet(10, mode, **FLEETS[mode]),
+                                     high_noise(10))
+        config = SimConfig(dt=0.01, horizon=5.0, disturbances=disturbances, seed=11,
+                           noise_enabled=True)
+        states = simulate_stochastic(model, config).states
+        reference = oracles.reference_march(
+            model, config, increments=oracles.noise_increments(model, config))
+        if not disturbances:
+            assert np.array_equal(states, reference)
+        else:
+            # the drive sums the increment and psi @ u before phi @ z is added
+            assert np.abs(states - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_rejects_non_finite_initial_state(self, ten_bus, dc_fleet):
+        model = assemble_closed_loop(ten_bus, dc_fleet)
+        start = np.zeros(model.n_states)
+        start[3] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            simulate_deterministic(model, SimConfig(dt=0.01, horizon=1.0), initial_state=start)
 
 
 class TestLyapunovAlongTrajectories:
@@ -269,8 +318,15 @@ class TestDivergenceGuard:
         # flip and scale A to make the loop violently unstable
         model = replace(model, a=-10.0 * model.a)
         bad = SimConfig(dt=0.5, horizon=2000.0, disturbances=(Disturbance(0.0, 0, 1.0),))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning may escape the march
             with pytest.raises(SimulationDiverged) as excinfo:
                 simulate_deterministic(model, bad)
         assert np.all(np.isfinite(excinfo.value.state))
         assert excinfo.value.time >= 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationDiverged) as reference:
+                oracles.reference_march(model, bad)
+        assert str(excinfo.value) == str(reference.value)
+        assert excinfo.value.time == reference.value.time
+        assert np.array_equal(excinfo.value.state, reference.value.state)
