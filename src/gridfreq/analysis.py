@@ -24,7 +24,7 @@ import scipy.linalg
 from .control import InverterMode, NoiseGains
 from .dynamics import StateSpaceModel, _loop_matrices, steady_state
 from .errors import NumericalError, ValidationError
-from .network import PowerNetwork, build_laplacian
+from .network import PowerNetwork
 
 __all__ = [
     "H2Result",
@@ -266,8 +266,7 @@ def modal_decompose(network: PowerNetwork, configs, noise=None) -> ModalDecompos
     if noise is None:
         noise = [NoiseGains() for _ in range(network.n_buses)]
     _homogeneous_scalars(network, configs, noise)
-    lap = build_laplacian(network)
-    eigenvalues, transform = np.linalg.eigh(lap)
+    eigenvalues, transform = np.linalg.eigh(network.laplacian)
     eigenvalues = eigenvalues.copy()
     if abs(eigenvalues[0]) > 1e-9:
         raise NumericalError(f"smallest Laplacian eigenvalue {eigenvalues[0]:.3e} not ~0")

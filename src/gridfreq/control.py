@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError
-from .network import PowerNetwork, build_laplacian
+from .network import PowerNetwork
 
 __all__ = [
     "InverterMode",
@@ -248,7 +248,7 @@ def lyapunov_diagnostics(state, network: PowerNetwork, configs) -> tuple[float, 
     delta, nu, rr_inv = _idroop_arrays(configs)
     m = np.array([b.inertia for b in network.buses])
     damping = np.array([b.damping + 1.0 / b.governor_droop for b in network.buses])
-    lap = build_laplacian(network)
+    lap = network.laplacian
 
     t_diag = 1.0 / (delta * (nu + rr_inv))
     shifted = dx + nu * domega

@@ -7,18 +7,21 @@ substituting the swing equation, so the model stays in explicit standard
 form (no descriptor mass matrix).  This module is the one place where
 inverter configs become matrices: the state equation, the noise and
 injection inputs, and the inverter-power output.  Modal subsystems are the
-same loop built on a one-bus network.
+same loop built on a one-bus network.  Assembly and the steady state read
+the network's cached Laplacian; a model solves its reference steady state
+only when something reads it, so an H2 evaluation never does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .control import InverterConfig, InverterMode, NoiseGains
 from .errors import ValidationError
-from .network import PowerNetwork, build_laplacian
+from .network import PowerNetwork
 
 __all__ = [
     "StateSpaceModel",
@@ -72,7 +75,13 @@ class StateSpaceModel:
     idroop_buses: tuple[int, ...]
     configs: tuple[InverterConfig, ...]
     noise: tuple[NoiseGains, ...]
-    reference: SteadyState
+    network: PowerNetwork
+
+    @cached_property
+    def reference(self) -> SteadyState:
+        """The steady state of ``network`` under ``configs`` that the
+        deviations are taken about, solved on first read."""
+        return steady_state(self.network, self.configs)
 
     @property
     def n_states(self) -> int:
@@ -147,8 +156,7 @@ def steady_state(network: PowerNetwork, configs) -> SteadyState:
 
     q_r_star = q0 - rr_inv * omega0
     rhs = network.injections() + q_r_star - (d + rg_inv) * omega0
-    lap = build_laplacian(network)
-    theta, *_ = np.linalg.lstsq(lap, rhs, rcond=None)
+    theta, *_ = np.linalg.lstsq(network.laplacian, rhs, rcond=None)
     theta = theta - theta[0]
 
     x_star = np.array(
@@ -245,9 +253,9 @@ def assemble_closed_loop(network: PowerNetwork, configs,
         if len(noise) != n:
             raise ValidationError(f"need one NoiseGains per bus, got {len(noise)}")
     return StateSpaceModel(
-        **_loop_matrices(build_laplacian(network), m, d + rg_inv, configs, noise),
+        **_loop_matrices(network.laplacian, m, d + rg_inv, configs, noise),
         n_buses=n,
         configs=configs,
         noise=noise,
-        reference=steady_state(network, configs),
+        network=network,
     )

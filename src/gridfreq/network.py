@@ -1,14 +1,17 @@
 """Transmission network model: buses, lines, susceptance Laplacian, Kron reduction.
 
 The network is an undirected graph whose edges carry positive per-unit
-susceptances.  All dynamic analysis in this package runs on a network where
-every bus hosts a generator; load buses are eliminated beforehand with
+susceptances.  A network is validated once, when its cached read-only
+Laplacian (:attr:`PowerNetwork.laplacian`) is first read, and every analysis
+reads that matrix.  All dynamic analysis in this package runs on a network
+where every bus hosts a generator; load buses are eliminated beforehand with
 :func:`kron_reduce` / :func:`kron_reduce_network`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -94,36 +97,58 @@ class PowerNetwork:
     def injections(self) -> np.ndarray:
         return np.array([b.injection for b in self.buses], dtype=float)
 
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        """Susceptance-weighted graph Laplacian, read-only and built once.
 
-def _components(n_buses, edges):
-    """Connected components (as sorted id lists) of an undirected graph."""
-    adjacency = {i: set() for i in range(n_buses)}
-    for i, j in edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    seen = set()
+        The first read validates the network and raises ValidationError
+        naming every violation.  Entry (i, j) is -b_ij for each line, the
+        diagonal holds the sum of incident susceptances, and all other
+        entries are zero.
+        """
+        violations = validate_network(self)
+        if violations:
+            raise ValidationError("invalid network: " + "; ".join(violations))
+        n = self.n_buses
+        lap = np.zeros((n, n))
+        for line in self.lines:
+            i, j, b = line.from_bus, line.to_bus, line.susceptance
+            lap[i, j] -= b
+            lap[j, i] -= b
+            lap[i, i] += b
+            lap[j, j] += b
+        lap.flags.writeable = False
+        return lap
+
+
+def _reached(adjacency: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Mask of the nodes joined by a path to the ``start`` mask (frontier BFS)."""
+    seen = start.copy()
+    frontier = start
+    while frontier.any():
+        frontier = adjacency[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return seen
+
+
+def _components(adjacency: np.ndarray) -> list[list[int]]:
+    """Connected components of a boolean adjacency matrix, as sorted id
+    lists ordered by their smallest id; they serve both the disconnection
+    check and the load-island check of the reduction."""
+    left = np.ones(adjacency.shape[0], dtype=bool)
     components = []
-    for start in range(n_buses):
-        if start in seen:
-            continue
-        stack = [start]
-        component = []
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            component.append(node)
-            stack.extend(adjacency[node] - seen)
-        components.append(sorted(component))
+    while left.any():
+        members = _reached(adjacency, np.arange(left.size) == left.argmax())
+        components.append(np.flatnonzero(members).tolist())
+        left &= ~members
     return components
 
 
 def validate_network(network: PowerNetwork) -> list[str]:
     """Collect structural violations; returns an empty list iff valid.
 
-    Never raises: callers that need a hard failure should use the returned
-    diagnostics to do so (see :func:`build_laplacian`).
+    Never raises: :attr:`PowerNetwork.laplacian` turns the diagnostics into
+    a hard failure.
     """
     violations = []
     n = network.n_buses
@@ -149,7 +174,7 @@ def validate_network(network: PowerNetwork) -> list[str]:
                 )
 
     seen_pairs = set()
-    edges = []
+    adjacency = np.zeros((n, n), dtype=bool)
     for line in network.lines:
         name = f"line {line.from_bus}-{line.to_bus}"
         if line.from_bus == line.to_bus:
@@ -164,37 +189,17 @@ def validate_network(network: PowerNetwork) -> list[str]:
         seen_pairs.add(pair)
         if line.susceptance <= 0:
             violations.append(f"{name}: susceptance must be > 0, got {line.susceptance}")
-        edges.append((line.from_bus, line.to_bus))
+        adjacency[line.from_bus, line.to_bus] = adjacency[line.to_bus, line.from_bus] = True
 
-    if n > 0:
-        components = _components(n, edges)
-        if len(components) > 1:
-            violations.append(f"network is disconnected: components {components}")
+    components = _components(adjacency)
+    if len(components) > 1:
+        violations.append(f"network is disconnected: components {components}")
     return violations
 
 
-def _require_valid(network: PowerNetwork) -> None:
-    violations = validate_network(network)
-    if violations:
-        raise ValidationError("invalid network: " + "; ".join(violations))
-
-
 def build_laplacian(network: PowerNetwork) -> np.ndarray:
-    """Susceptance-weighted graph Laplacian of a valid, connected network.
-
-    Entry (i, j) is -b_ij for each line, the diagonal holds the sum of
-    incident susceptances, and all other entries are zero.
-    """
-    _require_valid(network)
-    n = network.n_buses
-    lap = np.zeros((n, n))
-    for line in network.lines:
-        i, j, b = line.from_bus, line.to_bus, line.susceptance
-        lap[i, j] -= b
-        lap[j, i] -= b
-        lap[i, i] += b
-        lap[j, j] += b
-    return lap
+    """The network's read-only susceptance Laplacian, :attr:`PowerNetwork.laplacian`."""
+    return network.laplacian
 
 
 def laplacian_violations(matrix: np.ndarray, row_sum_tol: float = ROW_SUM_TOL) -> list[str]:
@@ -240,22 +245,19 @@ def kron_reduce(laplacian: np.ndarray, retained) -> np.ndarray:
     if not eliminated:
         return lap.copy()
 
-    # A load island (eliminated component with no tie to a retained bus)
-    # makes the eliminated block singular; report it by name instead of
-    # failing inside the linear solve.
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if lap[i, j] != 0.0]
-    sub_edges = [(i, j) for i, j in edges if i in eliminated and j in eliminated]
-    index_of = {bus: k for k, bus in enumerate(eliminated)}
-    for component in _components(len(eliminated), [(index_of[i], index_of[j]) for i, j in sub_edges]):
-        members = [eliminated[k] for k in component]
-        tied = any(
-            lap[i, j] != 0.0 for i in members for j in retained
+    # A load island (eliminated buses with no path to a retained bus) makes
+    # the eliminated block singular; report it by name instead of failing
+    # inside the linear solve.
+    adjacency = lap != 0.0
+    kept = np.zeros(n, dtype=bool)
+    kept[retained] = True
+    cut_off = ~_reached(adjacency, kept)
+    if cut_off.any():
+        island = _components(adjacency[np.ix_(cut_off, cut_off)])[0]
+        raise ValidationError(
+            f"eliminated buses {np.flatnonzero(cut_off)[island].tolist()} form an island "
+            "with no connection to retained buses; the reduction is singular"
         )
-        if not tied:
-            raise ValidationError(
-                f"eliminated buses {members} form an island with no connection "
-                "to retained buses; the reduction is singular"
-            )
 
     l_rr = lap[np.ix_(retained, retained)]
     l_re = lap[np.ix_(retained, eliminated)]
@@ -273,40 +275,23 @@ def kron_reduce_network(network: PowerNetwork) -> tuple[PowerNetwork, dict[int, 
     Returns the reduced network and a map from original generator ids to
     new contiguous ids.
     """
-    _require_valid(network)
+    lap = network.laplacian
     gens = list(network.generator_ids)
     if not gens:
         raise ValidationError("network has no generator buses to retain")
-    lap = build_laplacian(network)
     if len(gens) == network.n_buses:
         return network, {i: i for i in gens}
 
-    eliminated = sorted(set(range(network.n_buses)) - set(gens))
-    reduced = kron_reduce(lap, gens)
-    l_re = lap[np.ix_(gens, eliminated)]
-    l_ee = lap[np.ix_(eliminated, eliminated)]
+    # Bordering L with the injections p carries them through the one
+    # elimination: the Schur complement of [[L, p], [p^T, 0]] holds the
+    # reduced Laplacian and, in its last column, p_r - L_re L_ee^-1 p_e.
+    # The network is connected, so the border's ties hide no load island.
+    n = network.n_buses
     p = network.injections()
-    p_reduced = p[gens] - l_re @ np.linalg.solve(l_ee, p[eliminated])
-
-    id_map = {orig: new for new, orig in enumerate(gens)}
-    buses = []
-    for new, orig in enumerate(gens):
-        bus = network.buses[orig]
-        buses.append(
-            Bus(
-                id=new,
-                kind=GENERATOR,
-                inertia=bus.inertia,
-                damping=bus.damping,
-                governor_droop=bus.governor_droop,
-                injection=float(p_reduced[new]),
-            )
-        )
-    lines = []
-    g = len(gens)
-    for i in range(g):
-        for j in range(i + 1, g):
-            b_eff = -reduced[i, j]
-            if b_eff > 1e-12:
-                lines.append(Line(from_bus=i, to_bus=j, susceptance=float(b_eff)))
-    return PowerNetwork(buses=buses, lines=lines), id_map
+    bordered = np.block([[lap, p[:, None]], [p[None, :], np.zeros((1, 1))]])
+    reduced = kron_reduce(bordered, gens + [n])
+    buses = [replace(network.buses[orig], id=new, injection=float(reduced[new, -1]))
+             for new, orig in enumerate(gens)]
+    rows, cols = np.nonzero(np.triu(-reduced[:-1, :-1], 1) > 1e-12)
+    lines = [Line(int(i), int(j), float(-reduced[i, j])) for i, j in zip(rows, cols)]
+    return PowerNetwork(buses, lines), {orig: new for new, orig in enumerate(gens)}

@@ -20,6 +20,7 @@ power_injection @ u, so the control laws are encoded in dynamics only.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,8 +145,22 @@ def _extract_trajectory(model: StateSpaceModel, times, states, u) -> Trajectory:
     )
 
 
+def _step_count(model: StateSpaceModel, config: SimConfig) -> int:
+    """Steps of a run, rejecting runs whose states need more bytes than the
+    machine's physical memory before anything run-length is allocated."""
+    n_steps = config.horizon / config.dt  # a float: inf past the float range
+    size = (n_steps + 1) * model.n_states * 8
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if size > memory:
+        raise ValidationError(
+            f"{n_steps:.3g} steps (horizon / dt) need {size:.3g} bytes of states, "
+            f"more than the {memory:.3g} bytes of physical memory"
+        )
+    return round(n_steps)
+
+
 def _march(model, config, initial_state, noise_increments=None) -> Trajectory:
-    n_steps = int(round(config.horizon / config.dt))
+    n_steps = _step_count(model, config)
     times = np.arange(n_steps + 1) * config.dt
     u = _input_schedule(config, model.n_buses, times)
 
@@ -191,7 +206,7 @@ def simulate_stochastic(model: StateSpaceModel, config: SimConfig,
         raise ValidationError("stochastic run requires noise_enabled=True")
     if config.seed is None:
         raise ValidationError("stochastic run requires a seed")
-    n_steps = int(round(config.horizon / config.dt))
+    n_steps = _step_count(model, config)
     n = model.n_buses
     rng = np.random.default_rng(config.seed)
     scale = np.sqrt(config.dt)

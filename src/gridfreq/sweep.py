@@ -41,24 +41,14 @@ class SweepSpec:
     metric: str  # "h2" | "nadir"
 
 
-def _override(config, name: str, value: float):
-    """Apply a swept value wherever the config carries that parameter.
-
-    InverterConfig refuses m_v, delta and nu on modes that do not use them
-    and requires r_r where it is used; an r_r on a CP config is read by no law.
-    """
-    if getattr(config, name) is not None:
-        return replace(config, **{name: float(value)})
-    return config
-
-
 def run_sweep(network, configs, noise, spec: SweepSpec, sim_config=None) -> list[tuple]:
     """Evaluate the metric on the parameter grid.
 
     Returns rows (value_axis1, value_axis2 or None, metric), axis-1 major.
-    Swept parameters only apply to buses whose mode uses them; a sweep that
-    touches no bus simply yields a constant grid.  Infinite H2 norms show
-    up as float('inf').
+    A swept value applies to every config that carries the parameter:
+    InverterConfig carries m_v, delta and nu only on modes that use them,
+    and an r_r on a CP config is read by no law.  A sweep that touches no
+    bus yields a constant grid.  Infinite H2 norms show up as float('inf').
     """
     if spec.metric == "nadir":
         if sim_config is None or not sim_config.disturbances:
@@ -71,9 +61,9 @@ def run_sweep(network, configs, noise, spec: SweepSpec, sim_config=None) -> list
         points = [(v1, v2) for v1 in grids[0] for v2 in grids[1]]
 
     def evaluate(point):
-        swept = list(configs)
-        for axis, value in zip(spec.axes, point):
-            swept = [_override(c, axis.name, value) for c in swept]
+        swept = [replace(c, **{axis.name: float(value) for axis, value in zip(spec.axes, point)
+                                if getattr(c, axis.name) is not None})
+                 for c in configs]
         model = assemble_closed_loop(network, swept, noise)
         if spec.metric == "h2":
             result = h2_frequency_weighted(model)

@@ -4,7 +4,10 @@ The H2 references are meant for small systems (up to about 30 states): the
 Kronecker solve builds a dense d^2 x d^2 system, and the quadrature solves
 one d x d complex system per grid frequency.  The reference march is the
 per-step time-domain loop that gridfreq's precomputed-drive march replaced.
+The component finder is a plain breadth-first search over adjacency sets.
 """
+
+from collections import deque
 
 import numpy as np
 
@@ -99,3 +102,28 @@ def reference_march(model, config, initial_state=None, increments=None):
             )
         states[k + 1] = z
     return states
+
+
+def components(n, edges):
+    """Connected components of the undirected graph on nodes 0..n-1 with the
+    given (i, j) edges, as sorted id lists ordered by their smallest id."""
+    neighbours = [set() for _ in range(n)]
+    for i, j in edges:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    seen = [False] * n
+    found = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue, members = deque([start]), []
+        while queue:
+            node = queue.popleft()
+            members.append(node)
+            for other in neighbours[node]:
+                if not seen[other]:
+                    seen[other] = True
+                    queue.append(other)
+        found.append(sorted(members))
+    return found

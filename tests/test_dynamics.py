@@ -141,6 +141,17 @@ class TestSteadyState:
 
 
 class TestAssembleClosedLoop:
+    def test_reference_is_the_steady_state_of_its_network(self):
+        net = ten_bus_network(injections={3: 0.4, 8: -0.1})
+        cfgs = uniform_fleet(10, "IDROOP", r_r=15.0, delta=6.0, nu=0.9)
+        model = assemble_closed_loop(net, cfgs)
+        assert model.network is net
+        expected = steady_state(net, cfgs)
+        assert model.reference is model.reference
+        for name in ("omega0", "theta_star", "q_r_star", "x_star", "delta_q_g_star",
+                     "delta_q_r_star"):
+            assert np.array_equal(getattr(model.reference, name), getattr(expected, name))
+
     def test_constant_power_structure(self, ten_bus):
         cfgs = uniform_fleet(10, "CP")
         model = assemble_closed_loop(ten_bus, cfgs)

@@ -1,4 +1,5 @@
 import json
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from gridfreq import (
     save_document,
 )
 from gridfreq.cli import main
+import gridfreq.dynamics
+import gridfreq.network
 
 DATA = resources.files("gridfreq") / "data"
 EXAMPLE = str(DATA / "example-10bus.json")
@@ -103,6 +106,43 @@ class TestDocument:
         doc = load_document(EXAMPLE)
         assert doc.comment and "placeholder" in doc.comment
         assert document_to_obj(doc)["comment"] == doc.comment
+
+
+def count_calls(monkeypatch, home, name):
+    """Record each call of home.<name>, through every gridfreq module that binds it."""
+    original = getattr(home, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == "gridfreq" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestValidateOnce:
+    def test_h2_sweep_validates_once_and_solves_no_steady_state(self, monkeypatch, capsys,
+                                                               tmp_path):
+        validations = count_calls(monkeypatch, gridfreq.network, "validate_network")
+        steady_states = count_calls(monkeypatch, gridfreq.dynamics, "steady_state")
+        spec = {"axes": [{"name": "delta", "min": 1.0, "max": 6.0, "count": 3},
+                         {"name": "nu", "min": 0.1, "max": 1.0, "count": 2}], "metric": "h2"}
+        (tmp_path / "sweep.json").write_text(json.dumps(spec))
+        assert main(["sweep", "--network", EXAMPLE, "--sweep", str(tmp_path / "sweep.json"),
+                     "--out", str(tmp_path)]) == 0
+        assert len(validations) == 1
+        assert steady_states == []
+
+    def test_h2_on_reduced_document_validates_each_network_once(self, monkeypatch, capsys,
+                                                                tmp_path):
+        validations = count_calls(monkeypatch, gridfreq.network, "validate_network")
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(minimal_doc_obj()))
+        assert main(["h2", "--network", str(path)]) == 0
+        assert len(validations) <= 2  # the document's network and the reduced one
 
 
 class TestCli:
@@ -367,11 +407,17 @@ SWEEP_SPEC_ERRORS = {
     "axes-object": ({"axes": _axis(), "metric": "h2"}, "axes: must be a list"),
 }
 
-NON_FINITE_FLAGS = {
+# The step counts of the last three need more memory than any machine has;
+# they are rejected before anything run-length is allocated.
+BAD_STEP_FLAGS = {
     "dt-nan": (["--dt", "nan"], "dt must be finite"),
     "dt-inf-horizon-inf": (["--dt", "inf", "--horizon", "inf"], "dt must be finite"),
     "horizon-inf": (["--horizon", "inf"], "horizon must be finite"),
     "horizon-nan": (["--horizon", "nan"], "horizon must be finite"),
+    "steps-1e300": (["--dt", "1e-300", "--horizon", "1"], "1e+300 steps (horizon / dt) need"),
+    "steps-1e15": (["--dt", "1e-9", "--horizon", "1e6"], "1e+15 steps (horizon / dt) need"),
+    "steps-1e15-stochastic": (["--dt", "1e-9", "--horizon", "1e6", "--stochastic", "--seed",
+                               "1"], "1e+15 steps (horizon / dt) need"),
 }
 
 
@@ -414,13 +460,20 @@ class TestSchemaErrors:
         assert err.startswith("error:") and "Traceback" not in err
         assert message in err
 
-    @pytest.mark.parametrize("flags,message", NON_FINITE_FLAGS.values(),
-                             ids=NON_FINITE_FLAGS.keys())
+    @pytest.mark.parametrize("flags,message", BAD_STEP_FLAGS.values(),
+                             ids=BAD_STEP_FLAGS.keys())
     def test_non_finite_step_flags_rejected(self, capsys, tmp_path, flags, message):
         assert main(["simulate", "--network", EXAMPLE, "--out", str(tmp_path), *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert message in err
+
+    def test_non_utf8_file_names_the_path(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["h2", "--network", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not valid JSON") and "Traceback" not in err
 
     @settings(max_examples=100, deadline=None, database=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -434,4 +487,5 @@ class TestSchemaErrors:
         _edit(obj, data.draw(st.sampled_from(_json_paths(obj))), data.draw(replacement))
         path = tmp_path / "mutated.json"
         path.write_text(json.dumps(obj))
-        assert main(["steady-state", "--network", str(path)]) in (0, 1, 2)
+        command = data.draw(st.sampled_from(["steady-state", "h2", "stability", "modal"]))
+        assert main([command, "--network", str(path)]) in (0, 1, 2)

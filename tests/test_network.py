@@ -12,7 +12,9 @@ from gridfreq import (
     laplacian_violations,
     validate_network,
 )
+from gridfreq.network import _components
 from conftest import random_connected_network
+import oracles
 
 
 def simple_net(n, lines, **bus_kwargs):
@@ -40,6 +42,14 @@ class TestBuildLaplacian:
         net = simple_net(4, [Line(0, 1, 1.0), Line(2, 3, 1.0)])
         with pytest.raises(ValidationError, match=r"\[0, 1\].*\[2, 3\]"):
             build_laplacian(net)
+
+    def test_read_only_and_built_once(self):
+        net = simple_net(3, [Line(0, 1, 1.0), Line(1, 2, 2.0)])
+        lap = net.laplacian
+        assert build_laplacian(net) is lap
+        with pytest.raises(ValueError, match="read-only"):
+            lap[0, 1] = 0.0
+        assert np.array_equal(lap, [[1.0, -1.0, 0.0], [-1.0, 3.0, -2.0], [0.0, -2.0, 2.0]])
 
     def test_zero_eigenvalue_with_uniform_eigenvector(self):
         rng = np.random.default_rng(7)
@@ -181,3 +191,56 @@ class TestValidateNetwork:
         assert any("inertia" in v for v in violations)
         assert any("governor droop" in v for v in violations)
         assert any("damping" in v for v in violations)
+
+
+def random_tree_edges(rng, members):
+    """Edges of a random spanning tree over the given bus ids."""
+    order = rng.permutation(members)
+    return [(int(order[k]), int(order[rng.integers(k)])) for k in range(1, order.size)]
+
+
+class TestComponents:
+    """The numpy component finder against a plain breadth-first search."""
+
+    def test_random_graphs_match_oracle(self):
+        rng = np.random.default_rng(19)
+        split = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 50))
+            upper = np.triu(rng.random((n, n)) < rng.uniform(0.0, 4.0 / n), 1)
+            edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(upper))]
+            expected = oracles.components(n, edges)
+            assert _components(upper | upper.T) == expected
+            violations = validate_network(simple_net(n, [Line(i, j, 1.0) for i, j in edges]))
+            if len(expected) > 1:
+                split += 1
+                assert violations == [f"network is disconnected: components {expected}"]
+            else:
+                assert violations == []
+        assert split > 20  # most draws have several components
+
+    def test_300_bus_load_islands_named(self):
+        rng = np.random.default_rng(23)
+        n = 300
+        buses = rng.permutation(n)
+        islands, grid = (buses[:9], buses[9:14]), buses[14:]
+        edges = random_tree_edges(rng, grid) + [
+            edge for island in islands for edge in random_tree_edges(rng, island)]
+        lap = np.zeros((n, n))
+        for i, j in edges:
+            b = rng.uniform(0.5, 10.0)
+            lap[[i, j], [j, i]] -= b
+            lap[[i, j], [i, j]] += b
+        retained = rng.choice(grid, size=40, replace=False).tolist()
+        untied = [c for c in oracles.components(n, edges) if not set(c) & set(retained)]
+        assert len(untied) == 2
+        with pytest.raises(ValidationError) as excinfo:
+            kron_reduce(lap, retained)
+        assert str(excinfo.value) == (
+            f"eliminated buses {untied[0]} form an island with no connection to retained "
+            "buses; the reduction is singular")
+        # tied to the grid through one line each, the islands reduce away
+        for island in islands:
+            lap[[island[0], grid[0]], [grid[0], island[0]]] -= 1.0
+            lap[[island[0], grid[0]], [island[0], grid[0]]] += 1.0
+        assert not laplacian_violations(kron_reduce(lap, retained), row_sum_tol=1e-10)
