@@ -7,11 +7,14 @@ so the noise-to-frequency transfer function is
          = [C (sI - A)^-1 B1 | C (sI - A)^-1 (B2 + A B3) + C B3].
 A nonzero direct term C B3 makes the norm infinite; its largest singular
 value is reported as the limiting gain.  Otherwise the uniform-angle mode,
-which is unobservable and sits on the imaginary axis, is projected out and
-the norm is trace(B_eff^T X B_eff) with B_eff = [B1 | B2 + A B3] and X the
-observability Gramian, solved exactly by the Bartels-Stewart algorithm.
-The solver rejects state matrices with eigenvalues on or right of the
-imaginary axis and solutions whose residual is not small.
+which is unobservable and sits on the imaginary axis, is shifted to -1 by a
+rank-one update A - v v^T (Brauer, Duke Math. J. 19, 1952): A v = 0 and
+C v = 0 leave C (sI - A)^-1 unchanged.  The norm is then
+trace(B_eff^T X B_eff) with B_eff = [B1 | B2 + A B3] and X the observability
+Gramian, solved exactly by the Bartels-Stewart algorithm.  The solver, the
+only user of scipy, rejects non-finite input, state matrices with
+eigenvalues on or right of the imaginary axis and solutions whose residual
+is not small.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .control import InverterMode, NoiseGains
 from .dynamics import StateSpaceModel, _loop_matrices, steady_state
@@ -64,15 +66,19 @@ class H2Result:
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve A^T X + X A + Q = 0 by the Bartels-Stewart algorithm.
 
-    A must be Hurwitz; eigenvalues on or right of the imaginary axis are
-    rejected (deflate structural zero modes before calling), and so is a
-    solution whose residual exceeds 1e-8 * ||Q||.
+    A and Q must be finite and A Hurwitz; eigenvalues on or right of the
+    imaginary axis are rejected (shift structural zero modes away before
+    calling), and so is a solution whose residual exceeds 1e-8 * ||Q||.
     """
+    import scipy.linalg  # imported here: commands with no Lyapunov solve never load it
+
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
     d = a.shape[0]
     if a.shape != (d, d) or q.shape != (d, d):
         raise ValidationError(f"shape mismatch: A {a.shape}, Q {q.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(q).all()):
+        raise NumericalError("state or weight matrix has non-finite entries; the model overflows")
     eigenvalues = np.linalg.eigvals(a)
     worst = float(eigenvalues.real.max()) if d else -np.inf
     if worst > 1e-12:
@@ -82,7 +88,7 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     if d and worst > -1e-12:
         raise NumericalError(
             "state matrix has eigenvalues on the imaginary axis; "
-            "project out the structural zero mode before solving"
+            "shift the structural zero mode away before solving"
         )
     x = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
     x = 0.5 * (x + x.T)
@@ -95,40 +101,23 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     return x
 
 
-def _complement_basis(null_vectors: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the given rows."""
-    rows = np.atleast_2d(np.asarray(null_vectors, dtype=float))
-    return scipy.linalg.null_space(rows)
-
-
-def _deflate(a, b, c, null_vectors):
-    """Project the dynamics onto the complement of known right-null vectors.
-
-    The projected-out directions must be A-invariant and unobservable (true
-    for the uniform-angle mode), in which case the reduced triple realizes
-    exactly the same transfer function with a Hurwitz state matrix.
-    """
-    if null_vectors is None:
-        return a, b, c
-    w = _complement_basis(null_vectors)
-    return w.T @ a @ w, w.T @ b, c @ w
-
-
-def _h2(a, b, c, null_vectors) -> H2Result:
+def _h2(a, b, c, null_vector) -> H2Result:
     """Squared H2 norm of (A, [B1 | B2 | B3], C) with w3 = s*w2.
 
-    B holds the three noise channels in equal column blocks.  C B3 is read
-    before the deflation, which leaves it unchanged because the projected-out
-    directions are unobservable.
+    B holds the three noise channels in equal column blocks.  A unit
+    ``null_vector`` v with A v = 0 and C v = 0 marks the unobservable zero
+    mode; A - v v^T moves it to -1 and realizes the same transfer function.
+    The shift leaves A B3 unchanged because v^T B3 = 0.
     """
     k = b.shape[1] // 3
     feedthrough = c @ b[:, 2 * k :]
     gain = float(np.linalg.norm(feedthrough, 2)) if feedthrough.size else 0.0
     if gain > FEEDTHROUGH_TOL:
         return H2Result(kind="infinite", feedthrough_gain=gain)
-    at, bt, ct = _deflate(a, b, c, null_vectors)
-    b_eff = np.hstack([bt[:, :k], bt[:, k : 2 * k] + at @ bt[:, 2 * k :]])
-    x = solve_lyapunov(at, ct.T @ ct)
+    if null_vector is not None:
+        a = a - np.outer(null_vector, null_vector)
+    x = solve_lyapunov(a, c.T @ c)
+    b_eff = np.hstack([b[:, :k], b[:, k : 2 * k] + a @ b[:, 2 * k :]])
     return H2Result(kind="finite", value=max(float(np.trace(b_eff.T @ x @ b_eff)), 0.0))
 
 

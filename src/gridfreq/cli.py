@@ -249,14 +249,17 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="gridfreq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--network", required=True, help="network document (JSON)")
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("steady-state", help="synchronous frequency, angles, and optimality report")
-    common(p)
+    command("steady-state", _steady_state_cmd,
+            "synchronous frequency, angles, and optimality report")
 
-    p = sub.add_parser("simulate", help="time-domain run; writes trajectory CSV + metrics JSON")
-    common(p)
+    p = command("simulate", _simulate_cmd,
+                "time-domain run; writes trajectory CSV + metrics JSON")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--horizon", type=float, default=None,
@@ -264,34 +267,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--stochastic", action="store_true")
     p.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("h2", help='exact squared H2 norm, or "infinite" with its limiting gain')
-    common(p)
+    p = command("h2", _h2_cmd, 'exact squared H2 norm, or "infinite" with its limiting gain')
     p.add_argument("--closed-form", action="store_true", dest="closed_form",
                    help="cross-check against the homogeneous closed form")
 
-    p = sub.add_parser("stability", help="decentralized stability certificate table")
-    common(p)
+    command("stability", _stability_cmd, "decentralized stability certificate table")
+    command("modal", _modal_cmd, "per-mode norms of a homogeneous fleet")
 
-    p = sub.add_parser("modal", help="per-mode norms of a homogeneous fleet")
-    common(p)
-
-    p = sub.add_parser("sweep", help="metric grid over controller parameters; writes CSV")
-    common(p)
+    p = command("sweep", _sweep_cmd, "metric grid over controller parameters; writes CSV")
     p.add_argument("--sweep", required=True, help="sweep spec (JSON)")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--horizon", type=float, default=None)
     return parser
-
-
-_COMMANDS = {
-    "steady-state": _steady_state_cmd,
-    "simulate": _simulate_cmd,
-    "h2": _h2_cmd,
-    "stability": _stability_cmd,
-    "modal": _modal_cmd,
-    "sweep": _sweep_cmd,
-}
 
 
 def main(argv=None) -> int:
@@ -301,7 +289,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

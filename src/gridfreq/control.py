@@ -8,6 +8,7 @@ frequency and its derivative before they reach the grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -65,6 +66,8 @@ class InverterConfig:
         if mode in (InverterMode.DC, InverterMode.VI, InverterMode.IDROOP):
             if self.r_r is None or self.r_r <= 0:
                 raise ValidationError(f"{mode.value} inverter requires r_r > 0")
+            if not math.isfinite(1.0 / self.r_r):
+                raise ValidationError(f"{mode.value} inverter r_r {self.r_r} has no finite inverse")
         if mode is InverterMode.VI:
             if self.m_v is None or self.m_v < 0:
                 raise ValidationError("VI inverter requires m_v >= 0")

@@ -172,6 +172,7 @@ def steady_state(network: PowerNetwork, configs) -> SteadyState:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _loop_matrices(laplacian, inertia, damping, configs, noise) -> dict:
     """A, B, C, F and the inverter-power output of one closed loop.
 
@@ -180,7 +181,9 @@ def _loop_matrices(laplacian, inertia, damping, configs, noise) -> dict:
     q_r_dev = power @ z + power_injection @ u: -omega/r_r for DC, that less
     m_v*omega_dot for VI (omega_dot read off the swing rows of A and F), the
     internal state x for IDROOP and zero for CP.  The keys are the matching
-    :class:`StateSpaceModel` fields.
+    :class:`StateSpaceModel` fields.  An entry that overflows (a huge
+    susceptance over a tiny inertia) comes out non-finite without a warning;
+    the Lyapunov solve and the march's divergence scan report it.
     """
     n = laplacian.shape[0]
     static_rr_inv = np.array(

@@ -10,6 +10,7 @@ where every bus hosts a generator; load buses are eliminated beforehand with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -102,7 +103,8 @@ class PowerNetwork:
         """Susceptance-weighted graph Laplacian, read-only and built once.
 
         The first read validates the network and raises ValidationError
-        naming every violation.  Entry (i, j) is -b_ij for each line, the
+        naming every violation, or the bus whose susceptances sum past the
+        float range.  Entry (i, j) is -b_ij for each line, the
         diagonal holds the sum of incident susceptances, and all other
         entries are zero.
         """
@@ -111,12 +113,17 @@ class PowerNetwork:
             raise ValidationError("invalid network: " + "; ".join(violations))
         n = self.n_buses
         lap = np.zeros((n, n))
-        for line in self.lines:
-            i, j, b = line.from_bus, line.to_bus, line.susceptance
-            lap[i, j] -= b
-            lap[j, i] -= b
-            lap[i, i] += b
-            lap[j, j] += b
+        with np.errstate(over="ignore"):  # an overflowing diagonal is named below
+            for line in self.lines:
+                i, j, b = line.from_bus, line.to_bus, line.susceptance
+                lap[i, j] -= b
+                lap[j, i] -= b
+                lap[i, i] += b
+                lap[j, j] += b
+        overflow = np.flatnonzero(~np.isfinite(lap.diagonal()))
+        if overflow.size:
+            raise ValidationError(f"invalid network: bus {overflow[0]}: susceptances sum to "
+                                  "a non-finite Laplacian entry")
         lap.flags.writeable = False
         return lap
 
@@ -163,10 +170,12 @@ def validate_network(network: PowerNetwork) -> list[str]:
         if bus.damping < 0:
             violations.append(f"bus {bus.id}: damping must be >= 0, got {bus.damping}")
         if bus.is_generator:
-            if bus.inertia is None or bus.inertia <= 0:
-                violations.append(f"generator bus {bus.id}: inertia must be > 0")
-            if bus.governor_droop is None or bus.governor_droop <= 0:
-                violations.append(f"generator bus {bus.id}: governor droop must be > 0")
+            for label, value in (("inertia", bus.inertia), ("governor droop", bus.governor_droop)):
+                if value is None or value <= 0:
+                    violations.append(f"generator bus {bus.id}: {label} must be > 0")
+                elif not math.isfinite(1.0 / value):
+                    violations.append(f"generator bus {bus.id}: {label} {value} has no finite "
+                                      "inverse")
         else:
             if bus.inertia is not None or bus.governor_droop is not None:
                 violations.append(

@@ -63,6 +63,8 @@ class SimConfig:
             raise ValidationError(f"dt must be finite and > 0, got {self.dt}")
         if not (np.isfinite(self.horizon) and self.horizon >= self.dt):
             raise ValidationError(f"horizon must be finite and at least dt, got {self.horizon}")
+        if self.seed is not None and self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         for dist in self.disturbances:
             if not 0.0 <= dist.time <= self.horizon:
                 raise ValidationError(

@@ -27,7 +27,10 @@ def kronecker_lyapunov(a, q):
 
 def effective_system(model):
     """(A, B_eff, C) of a closed-loop model with the uniform-angle mode
-    projected out and w3 = s*w2 folded into B_eff = [B1 | B2 + A B3]."""
+    projected out and w3 = s*w2 folded into B_eff = [B1 | B2 + A B3].
+
+    The projection onto a QR-built orthonormal complement is independent of
+    gridfreq, which shifts that mode to -1 instead of removing it."""
     d = model.n_states
     basis, _ = np.linalg.qr(np.column_stack([model.rotation_null_vector, np.eye(d)]))
     w = basis[:, 1:]  # orthonormal complement of the uniform-angle direction

@@ -22,7 +22,24 @@ from gridfreq import (
     uniform_fleet,
     verify_steady_state_optimality,
 )
-from conftest import high_noise, path_network, ten_bus_network
+from conftest import high_noise, path_network, random_connected_network, ten_bus_network
+
+
+def mixed_fleet_model(rng):
+    """A random heterogeneous network under a CP/DC/IDROOP fleet (bus i runs
+    mode i mod 3), with injection, measurement and derivative noise (k3 > 0)
+    on every bus."""
+    net = random_connected_network(rng, n_min=6, n_max=8)
+    fleet = []
+    for i in range(net.n_buses):
+        r_r = float(rng.uniform(5.0, 30.0))
+        fleet.append([InverterConfig.constant_power(),
+                      InverterConfig.droop(r_r=r_r),
+                      InverterConfig.idroop(r_r=r_r, delta=float(rng.uniform(1.0, 8.0)),
+                                            nu=float(rng.uniform(0.1, 1.0)))][i % 3])
+    noise = [NoiseGains(*rng.uniform([0.05, 1.0, 1.0], [0.2, 5.0, 5.0]))
+             for _ in range(net.n_buses)]
+    return assemble_closed_loop(net, fleet, noise)
 
 
 class TestSolveLyapunov:
@@ -186,6 +203,13 @@ class TestFrequencyWeighted:
         reference = oracles.quadrature_h2(*oracles.effective_system(model))
         assert result.kind == "finite"
         assert result.value == pytest.approx(reference, rel=1e-6)
+        # Heterogeneous buses and a mixed fleet, against the oracle's own
+        # deflation and Kronecker solve.
+        mixed = mixed_fleet_model(np.random.default_rng(5))
+        assert mixed.derivative_noise_present
+        assert {c.mode.value for c in mixed.configs} == {"CP", "DC", "IDROOP"}
+        reference = oracles.gramian_h2(*oracles.effective_system(mixed))
+        assert h2_frequency_weighted(mixed).value == pytest.approx(reference, rel=1e-9)
 
     def test_feedthrough_gain_matches_high_frequency_response(self, ten_bus):
         fleet = uniform_fleet(10, "IDROOP", r_r=15.0, delta=6.0, nu=0.9)

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
@@ -143,6 +145,34 @@ class TestValidateOnce:
         path.write_text(json.dumps(minimal_doc_obj()))
         assert main(["h2", "--network", str(path)]) == 0
         assert len(validations) <= 2  # the document's network and the reduced one
+
+
+# Run in a fresh interpreter: which modules the CLI loads is the subject.
+SCIPY_ON_DEMAND = """
+import sys
+import gridfreq
+from gridfreq.cli import main
+
+network, out = sys.argv[1:]
+def scipy_loaded():
+    return any(name.split(".")[0] == "scipy" for name in sys.modules)
+assert not scipy_loaded(), "import gridfreq"
+for command, *flags in (["steady-state"], ["stability"],
+                        ["simulate", "--horizon", "2", "--out", out]):
+    assert main([command, "--network", network, *flags]) == 0
+    assert not scipy_loaded(), command
+assert main(["h2", "--network", network]) == 0
+assert scipy_loaded(), "h2"
+"""
+
+
+def test_scipy_loads_only_for_a_lyapunov_solve(tmp_path):
+    src = str(Path(gridfreq.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-W", "error", "-c", SCIPY_ON_DEMAND, EXAMPLE,
+                          str(tmp_path)], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 class TestCli:
@@ -418,6 +448,35 @@ BAD_STEP_FLAGS = {
     "steps-1e15": (["--dt", "1e-9", "--horizon", "1e6"], "1e+15 steps (horizon / dt) need"),
     "steps-1e15-stochastic": (["--dt", "1e-9", "--horizon", "1e6", "--stochastic", "--seed",
                                "1"], "1e+15 steps (horizon / dt) need"),
+    "seed-negative": (["--stochastic", "--seed", "-1"], "seed must be >= 0, got -1"),
+}
+
+# Numbers that pass the finite check of their field but overflow the model:
+# a reciprocal (1/m, 1/r_g, 1/r_r), a Laplacian row sum, or the swing row
+# b/m of A.  Each gets a named error instead of NaN output or a raw
+# traceback from inside numpy.
+TINY = 1e-320
+OVERFLOWS = {
+    "h2-inertia": ("h2", {("buses", 0, "inertia"): TINY},
+                   "generator bus 0: inertia 1e-320 has no finite inverse"),
+    "h2-governor-droop": ("h2", {("buses", 0, "governor_droop"): TINY},
+                          "generator bus 0: governor droop 1e-320 has no finite inverse"),
+    "h2-r_r": ("h2", {("inverters", 0, "r_r"): TINY}, "r_r 1e-320 has no finite inverse"),
+    "steady-state-governor-droop": ("steady-state", {("buses", 0, "governor_droop"): TINY},
+                                    "governor droop 1e-320 has no finite inverse"),
+    "steady-state-r_r": ("steady-state", {("inverters", 0, "r_r"): TINY},
+                         "r_r 1e-320 has no finite inverse"),
+    "stability-r_r": ("stability", {("inverters", 0, "r_r"): TINY},
+                      "r_r 1e-320 has no finite inverse"),
+    "steady-state-laplacian": ("steady-state", {("lines", 0, "susceptance"): 1e308,
+                                                ("lines", 1, "susceptance"): 1e308},
+                               "bus 1: susceptances sum to a non-finite Laplacian entry"),
+    "stability-laplacian": ("stability", {("lines", 0, "susceptance"): 1e308,
+                                          ("lines", 1, "susceptance"): 1e308},
+                            "bus 1: susceptances sum to a non-finite Laplacian entry"),
+    "h2-state-matrix": ("h2", {("lines", 0, "susceptance"): 1e300,
+                               ("buses", 0, "inertia"): 1e-10},
+                        "state or weight matrix has non-finite entries"),
 }
 
 
@@ -467,6 +526,20 @@ class TestSchemaErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert message in err
+
+    @pytest.mark.parametrize("command,edits,message", OVERFLOWS.values(),
+                             ids=OVERFLOWS.keys())
+    def test_overflowing_numbers_are_named(self, capsys, tmp_path, command, edits, message):
+        obj = json.loads(Path(EXAMPLE).read_text())
+        for field, value in edits.items():
+            _edit(obj, field, value)
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(obj))
+        assert main([command, "--network", str(path)]) in (1, 2)
+        captured = capsys.readouterr()
+        assert captured.err.startswith(("error:", "numerical failure:"))
+        assert "Traceback" not in captured.err and message in captured.err
+        assert "NaN" not in captured.out and "Infinity" not in captured.out
 
     def test_non_utf8_file_names_the_path(self, capsys, tmp_path):
         path = tmp_path / "utf16.json"
