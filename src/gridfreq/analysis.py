@@ -117,8 +117,12 @@ def _h2(a, b, c, null_vector) -> H2Result:
     if null_vector is not None:
         a = a - np.outer(null_vector, null_vector)
     x = solve_lyapunov(a, c.T @ c)
-    b_eff = np.hstack([b[:, :k], b[:, k : 2 * k] + a @ b[:, 2 * k :]])
-    return H2Result(kind="finite", value=max(float(np.trace(b_eff.T @ x @ b_eff)), 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_eff = np.hstack([b[:, :k], b[:, k : 2 * k] + a @ b[:, 2 * k :]])
+        value = float(np.trace(b_eff.T @ x @ b_eff))
+    if not np.isfinite(value):
+        raise NumericalError(f"squared H2 norm is not finite ({value}); the noise overflows it")
+    return H2Result(kind="finite", value=max(value, 0.0))
 
 
 def h2_gramian(model: StateSpaceModel) -> H2Result:

@@ -101,8 +101,8 @@ def _write_trajectory_csv(path: Path, trajectory, bus_ids) -> None:
     table = np.hstack(blocks)
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in table:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in table:  # row by row: one tolist() of the table holds every float at once
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def _simulate_cmd(args) -> int:

@@ -4,8 +4,13 @@ Deterministic runs integrate the linear deviation dynamics with classical
 fourth-order Runge-Kutta steps; because the system is linear and inputs are
 frozen over each step, the whole update collapses into two precomputed
 matrices, z+ = phi @ z + psi @ u.  The inputs enter as one drive psi @ u
-computed before the march, so each step is z+ = phi @ z + drive[k].  A run
-that overflows is caught by one scan for non-finite values after the march.
+computed before the march, so each step is z+ = phi @ z + drive[k].  The
+step is taken in place: one BLAS matrix-vector product writes phi @ z into
+the next row of the state array (``phi.dot(z, out=row)``) and drive[k] is
+added into that row, so a step allocates no temporaries and copies nothing.
+It is the same product and the same sum, in the same order, so the states
+are bit for bit those of the plain recurrence.  A run that overflows is
+caught by one scan for non-finite values after the march.
 
 Stochastic runs add Euler-Maruyama noise increments into the same drive,
 in place: Gaussian increments of variance dt per channel for w1 and w2,
@@ -21,12 +26,12 @@ power_injection @ u, so the control laws are encoded in dynamics only.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .dynamics import StateSpaceModel, SteadyState
-from .errors import SimulationDiverged, ValidationError
+from .errors import NumericalError, SimulationDiverged, ValidationError
 
 __all__ = [
     "Disturbance",
@@ -126,7 +131,12 @@ def _input_schedule(config: SimConfig, n_buses: int, times: np.ndarray) -> np.nd
         if not 0 <= dist.bus < n_buses:
             raise ValidationError(f"disturbance bus {dist.bus} out of range")
         start = int(np.ceil(dist.time / config.dt - 1e-9))
-        u[start:, dist.bus] += dist.delta_p
+        with np.errstate(over="ignore", invalid="ignore"):
+            u[start:, dist.bus] += dist.delta_p
+    finite = np.isfinite(u).all(axis=0)
+    if not finite.all():
+        bus = int(finite.argmin())
+        raise ValidationError(f"disturbances on bus {bus} sum to a non-finite injection")
     return u
 
 
@@ -177,8 +187,10 @@ def _march(model, config, initial_state, noise_increments=None) -> Trajectory:
             drive = np.add(noise_increments, drive, out=noise_increments)
         states = np.empty((n_steps + 1, dim))
         states[0] = z
-        for k in range(n_steps):
-            z = states[k + 1] = phi @ z + drive[k]
+        for row, d in zip(states[1:], drive):
+            phi.dot(z, out=row)
+            row += d
+            z = row
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         k = int(finite.argmin())  # first non-finite sample; k >= 1
@@ -230,7 +242,10 @@ def compute_metrics(trajectory: Trajectory, steady: SteadyState | None = None) -
     omega = trajectory.omega_dev
     n_samples = omega.shape[0]
     tail10 = omega[int(np.floor(0.9 * n_samples)) :]
-    settling = float(tail10.mean()) if tail10.size else 0.0
+    tail50 = omega[n_samples // 2 :]
+    with np.errstate(over="ignore", invalid="ignore"):  # the sums may overflow; named below
+        settling = float(tail10.mean()) if tail10.size else 0.0
+        variance = float((tail50**2).sum(axis=1).mean()) if tail50.size else 0.0
 
     if steady is not None:
         direction = steady.omega0 - trajectory.base_omega0
@@ -245,11 +260,13 @@ def compute_metrics(trajectory: Trajectory, steady: SteadyState | None = None) -
         nadir = float(flat[np.argmax(np.abs(flat))]) if flat.size else 0.0
 
     peak = float(np.abs(trajectory.q_r_dev).max()) if trajectory.q_r_dev.size else 0.0
-    tail50 = omega[n_samples // 2 :]
-    variance = float((tail50**2).sum(axis=1).mean()) if tail50.size else 0.0
-    return Metrics(
+    metrics = Metrics(
         nadir=nadir,
         settling_frequency=settling,
         peak_inverter_power=peak,
         empirical_output_variance=variance,
     )
+    for name, value in asdict(metrics).items():
+        if not np.isfinite(value):
+            raise NumericalError(f"metric {name} is not finite ({value}); the run overflows it")
+    return metrics

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gridfreq import (
+    Trajectory,
     ValidationError,
     document_to_obj,
     load_document,
@@ -17,7 +18,7 @@ from gridfreq import (
     reduce_document,
     save_document,
 )
-from gridfreq.cli import main
+from gridfreq.cli import _write_trajectory_csv, main
 import gridfreq.dynamics
 import gridfreq.network
 
@@ -241,6 +242,23 @@ class TestCli:
         capsys.readouterr()
         assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
         assert (out1 / "metrics.json").read_bytes() == (out2 / "metrics.json").read_bytes()
+
+    def test_trajectory_csv_holds_each_float_repr(self, tmp_path):
+        times = np.array([0.0, 0.5, 1.0])
+        theta = np.array([[-0.0, 1e-05], [1e16, 5e-324], [0.1, -2.5]])
+        omega = np.array([[1.0 / 3.0, -1e-300], [2.0, 123456.789], [-0.0, 7e22]])
+        q_r = -theta
+        x = np.array([[0.25], [5e-324], [-1e16]])
+        trajectory = Trajectory(times=times, theta_dev=theta, omega_dev=omega, q_r_dev=q_r,
+                                x=x, idroop_buses=(1,), states=np.hstack([theta, omega, x]),
+                                base_omega0=0.0)
+        path = tmp_path / "trajectory.csv"
+        _write_trajectory_csv(path, trajectory, [4, 7])
+        lines = ["t,theta_dev_4,theta_dev_7,omega_dev_4,omega_dev_7,q_r_dev_4,q_r_dev_7,x_7"]
+        for k in range(3):
+            values = [times[k], *theta[k], *omega[k], *q_r[k], *x[k]]
+            lines.append(",".join(repr(float(v)) for v in values))
+        assert path.read_text() == "\n".join(lines) + "\n"
 
     def test_stochastic_requires_seed(self, capsys):
         assert main(["simulate", "--network", EXAMPLE, "--stochastic"]) == 1
@@ -477,6 +495,16 @@ OVERFLOWS = {
     "h2-state-matrix": ("h2", {("lines", 0, "susceptance"): 1e300,
                                ("buses", 0, "inertia"): 1e-10},
                         "state or weight matrix has non-finite entries"),
+    "h2-noise-gain": ("h2", {("noise", 0, "k1"): 1e300}, "squared H2 norm is not finite"),
+    "modal-noise-gain": ("modal", {("noise", i, "k1"): 1e300 for i in range(10)},
+                         "squared H2 norm is not finite"),
+    "simulate-stochastic-variance": ("simulate --stochastic --seed 1 --horizon 10",
+                                     {("noise", 0, "k1"): 1e300},
+                                     "metric empirical_output_variance is not finite"),
+    "simulate-disturbance-sum": ("simulate",
+                                 {("disturbances",): [{"time": 5.0, "bus": 0,
+                                                       "delta_p": 1e308}] * 2},
+                                 "disturbances on bus 0 sum to a non-finite injection"),
 }
 
 
@@ -529,13 +557,16 @@ class TestSchemaErrors:
 
     @pytest.mark.parametrize("command,edits,message", OVERFLOWS.values(),
                              ids=OVERFLOWS.keys())
-    def test_overflowing_numbers_are_named(self, capsys, tmp_path, command, edits, message):
+    def test_overflowing_numbers_are_named(self, capsys, monkeypatch, tmp_path, command, edits,
+                                           message):
+        """``command`` is the subcommand and its flags; any --out files land in tmp_path."""
+        monkeypatch.chdir(tmp_path)
         obj = json.loads(Path(EXAMPLE).read_text())
         for field, value in edits.items():
             _edit(obj, field, value)
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps(obj))
-        assert main([command, "--network", str(path)]) in (1, 2)
+        assert main([*command.split(), "--network", str(path)]) in (1, 2)
         captured = capsys.readouterr()
         assert captured.err.startswith(("error:", "numerical failure:"))
         assert "Traceback" not in captured.err and message in captured.err

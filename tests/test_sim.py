@@ -6,6 +6,7 @@ import pytest
 from gridfreq import (
     Bus,
     Disturbance,
+    InverterConfig,
     NoiseGains,
     PowerNetwork,
     SimConfig,
@@ -20,7 +21,7 @@ from gridfreq import (
     steady_state,
     uniform_fleet,
 )
-from conftest import high_noise, ten_bus_network
+from conftest import high_noise, random_connected_network, ten_bus_network
 import oracles
 
 STEP = (Disturbance(time=1.0, bus=9, delta_p=-0.5),)
@@ -51,6 +52,14 @@ class TestSimConfig:
 
 
 class TestDeterministic:
+    def test_non_finite_injection_names_the_bus(self, ten_bus, dc_fleet):
+        # only samples 100-199 overflow: the sums from t = 2 on are finite again
+        steps = (Disturbance(1.0, 3, 1e308), Disturbance(2.0, 3, -1e308),
+                 Disturbance(1.0, 3, 1e308))
+        model = assemble_closed_loop(ten_bus, dc_fleet)
+        with pytest.raises(ValidationError, match="bus 3 sum to a non-finite injection"):
+            simulate_deterministic(model, SimConfig(dt=0.01, horizon=3.0, disturbances=steps))
+
     def test_equilibrium_start_stays_at_zero(self, ten_bus, dc_fleet):
         model = assemble_closed_loop(ten_bus, dc_fleet)
         trajectory = simulate_deterministic(model, SimConfig(dt=0.01, horizon=2.0))
@@ -129,6 +138,24 @@ FLEETS = {
 }
 
 
+def mixed_fleet_model(rng):
+    """A random heterogeneous network under a CP/DC/VI/IDROOP fleet (bus i
+    runs mode i mod 4) with injection, measurement and derivative noise on
+    every bus."""
+    net = random_connected_network(rng, n_min=6, n_max=8)
+    fleet = []
+    for i in range(net.n_buses):
+        r_r = float(rng.uniform(5.0, 30.0))
+        fleet.append([InverterConfig.constant_power(),
+                      InverterConfig.droop(r_r=r_r),
+                      InverterConfig.virtual_inertia(r_r=r_r, m_v=float(rng.uniform(0.05, 0.3))),
+                      InverterConfig.idroop(r_r=r_r, delta=float(rng.uniform(1.0, 8.0)),
+                                            nu=float(rng.uniform(0.1, 1.0)))][i % 4])
+    noise = [NoiseGains(*rng.uniform([0.05, 1.0, 1.0], [0.2, 5.0, 5.0]))
+             for _ in range(net.n_buses)]
+    return assemble_closed_loop(net, fleet, noise)
+
+
 class TestMarchAgainstReference:
     """The precomputed-drive march against the per-step reference loop."""
 
@@ -155,6 +182,22 @@ class TestMarchAgainstReference:
         else:
             # the drive sums the increment and psi @ u before phi @ z is added
             assert np.abs(states - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_mixed_fleet_deterministic_is_bitwise_equal(self):
+        model = mixed_fleet_model(np.random.default_rng(8))
+        config = SimConfig(dt=0.01, horizon=20.0,
+                           disturbances=(Disturbance(time=1.0, bus=1, delta_p=-0.5),))
+        start = np.random.default_rng(0).normal(scale=0.1, size=model.n_states)
+        states = simulate_deterministic(model, config, initial_state=start).states
+        assert np.array_equal(states, oracles.reference_march(model, config, start))
+
+    def test_mixed_fleet_noise_only_is_bitwise_equal(self):
+        model = mixed_fleet_model(np.random.default_rng(8))
+        config = SimConfig(dt=0.01, horizon=20.0, seed=11, noise_enabled=True)
+        states = simulate_stochastic(model, config).states
+        reference = oracles.reference_march(
+            model, config, increments=oracles.noise_increments(model, config))
+        assert np.array_equal(states, reference)
 
     def test_rejects_non_finite_initial_state(self, ten_bus, dc_fleet):
         model = assemble_closed_loop(ten_bus, dc_fleet)
