@@ -12,9 +12,10 @@ rank-one update A - v v^T (Brauer, Duke Math. J. 19, 1952): A v = 0 and
 C v = 0 leave C (sI - A)^-1 unchanged.  The norm is then
 trace(B_eff^T X B_eff) with B_eff = [B1 | B2 + A B3] and X the observability
 Gramian, solved exactly by the Bartels-Stewart algorithm.  The solver, the
-only user of scipy, rejects non-finite input, state matrices with
-eigenvalues on or right of the imaginary axis and solutions whose residual
-is not small.
+only user of scipy, factors A once: its Hurwitz test reads the spectrum off
+the real Schur form that LAPACK trsyl then solves on.  It rejects non-finite
+input, state matrices with eigenvalues on or right of the imaginary axis
+and solutions whose residual is not small.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     A and Q must be finite and A Hurwitz; eigenvalues on or right of the
     imaginary axis are rejected (shift structural zero modes away before
     calling), and so is a solution whose residual exceeds 1e-8 * ||Q||.
+    A is factored once: the Hurwitz test reads the spectrum off the real
+    Schur form R = U^T A^T U that LAPACK trsyl then solves on.
     """
     import scipy.linalg  # imported here: commands with no Lyapunov solve never load it
 
@@ -79,18 +82,25 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise ValidationError(f"shape mismatch: A {a.shape}, Q {q.shape}")
     if not (np.isfinite(a).all() and np.isfinite(q).all()):
         raise NumericalError("state or weight matrix has non-finite entries; the model overflows")
-    eigenvalues = np.linalg.eigvals(a)
-    worst = float(eigenvalues.real.max()) if d else -np.inf
+    if not d:
+        return np.empty((0, 0))
+    r, u = scipy.linalg.schur(a.T, output="real", check_finite=False)
+    # LAPACK standardises each 2x2 block to equal diagonal entries, so the
+    # diagonal of R holds the real part of every eigenvalue.
+    worst = float(r.diagonal().max())
     if worst > 1e-12:
         raise NumericalError(
             f"state matrix has eigenvalues in the right half-plane (max Re = {worst:.3e})"
         )
-    if d and worst > -1e-12:
+    if worst > -1e-12:
         raise NumericalError(
             "state matrix has eigenvalues on the imaginary axis; "
             "shift the structural zero mode away before solving"
         )
-    x = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
+    # R Y + Y R^T = -U^T Q U with Y = U^T X U; a perturbed solve (info 1) is left to
+    # the residual guard
+    y, scale, _ = scipy.linalg.lapack.dtrsyl(r, r, u.T @ (-q @ u), tranb="T")
+    x = u @ (scale * y) @ u.T
     x = 0.5 * (x + x.T)
     residual = np.linalg.norm(a.T @ x + x @ a + q)
     bound = 1e-8 * max(np.linalg.norm(q), 1e-30)
@@ -111,7 +121,7 @@ def _h2(a, b, c, null_vector) -> H2Result:
     """
     k = b.shape[1] // 3
     feedthrough = c @ b[:, 2 * k :]
-    gain = float(np.linalg.norm(feedthrough, 2)) if feedthrough.size else 0.0
+    gain = float(np.linalg.norm(feedthrough, 2)) if feedthrough.any() else 0.0
     if gain > FEEDTHROUGH_TOL:
         return H2Result(kind="infinite", feedthrough_gain=gain)
     if null_vector is not None:

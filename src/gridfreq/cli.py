@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from .analysis import (
 )
 from .control import check_decentralized_stability
 from .dynamics import assemble_closed_loop, steady_state
-from .errors import GridFreqError, NumericalError, ValidationError
+from .errors import GridFreqError, InjectionOverflow, NumericalError, ValidationError
 from .io import load_document, load_sweep_spec, reduce_document
 from .sim import SimConfig, compute_metrics, simulate_deterministic, simulate_stochastic
 from .sweep import run_sweep
@@ -55,6 +56,15 @@ def _emit(obj) -> None:
 
 def _load_reduced(path):
     return reduce_document(load_document(path))
+
+
+@contextmanager
+def _document_bus_ids(system):
+    """Name the bus of an injection overflow by its document id, not its model index."""
+    try:
+        yield
+    except InjectionOverflow as exc:
+        raise InjectionOverflow(exc.bus, system.bus_ids[exc.bus]) from None
 
 
 def _steady_state_cmd(args) -> int:
@@ -120,10 +130,11 @@ def _simulate_cmd(args) -> int:
         noise_enabled=args.stochastic,
     )
     model = assemble_closed_loop(system.network, system.configs, system.noise)
-    if args.stochastic:
-        trajectory = simulate_stochastic(model, config)
-    else:
-        trajectory = simulate_deterministic(model, config)
+    with _document_bus_ids(system):
+        if args.stochastic:
+            trajectory = simulate_stochastic(model, config)
+        else:
+            trajectory = simulate_deterministic(model, config)
     metrics = compute_metrics(trajectory)
 
     out_dir = Path(args.out)
@@ -219,7 +230,8 @@ def _sweep_cmd(args) -> int:
             horizon=args.horizon if args.horizon is not None else 30.0,
             disturbances=system.disturbances,
         )
-    rows = run_sweep(system.network, system.configs, system.noise, spec, sim_config)
+    with _document_bus_ids(system):
+        rows = run_sweep(system.network, system.configs, system.noise, spec, sim_config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / SWEEP_CSV

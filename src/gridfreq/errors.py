@@ -9,6 +9,16 @@ class ValidationError(GridFreqError):
     """Structurally invalid input: bad network, config, or document."""
 
 
+class InjectionOverflow(ValidationError):
+    """Disturbances on one bus sum to a non-finite injection.  ``bus`` is the
+    model's bus index; ``label``, if given, names the bus in the message."""
+
+    def __init__(self, bus, label=None):
+        super().__init__(f"disturbances on bus {bus if label is None else label} "
+                         "sum to a non-finite injection")
+        self.bus = bus
+
+
 class NumericalError(GridFreqError):
     """A numerical procedure failed (unstable matrix, non-convergence, ...)."""
 

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dynamics import StateSpaceModel, SteadyState
-from .errors import NumericalError, SimulationDiverged, ValidationError
+from .errors import InjectionOverflow, NumericalError, SimulationDiverged, ValidationError
 
 __all__ = [
     "Disturbance",
@@ -135,8 +135,7 @@ def _input_schedule(config: SimConfig, n_buses: int, times: np.ndarray) -> np.nd
             u[start:, dist.bus] += dist.delta_p
     finite = np.isfinite(u).all(axis=0)
     if not finite.all():
-        bus = int(finite.argmin())
-        raise ValidationError(f"disturbances on bus {bus} sum to a non-finite injection")
+        raise InjectionOverflow(int(finite.argmin()))
     return u
 
 

@@ -1,15 +1,18 @@
 """Reference solvers for the tests, independent of gridfreq's own code paths.
 
-The H2 references are meant for small systems (up to about 30 states): the
-Kronecker solve builds a dense d^2 x d^2 system, and the quadrature solves
-one d x d complex system per grid frequency.  The reference march is the
-per-step time-domain loop that gridfreq's precomputed-drive march replaced.
-The component finder is a plain breadth-first search over adjacency sets.
+The Lyapunov references are scipy's own Bartels-Stewart wrapper and a
+Kronecker solve.  The H2 references are meant for small systems (up to
+about 30 states): the Kronecker solve builds a dense d^2 x d^2 system, and
+the quadrature solves one d x d complex system per grid frequency.  The
+reference march is the per-step time-domain loop that gridfreq's
+precomputed-drive march replaced.  The component finder is a plain
+breadth-first search over adjacency sets.
 """
 
 from collections import deque
 
 import numpy as np
+import scipy.linalg
 
 from gridfreq import SimulationDiverged
 from gridfreq.sim import _rk4_propagators
@@ -22,6 +25,13 @@ def kronecker_lyapunov(a, q):
     ident = np.eye(d)
     system = np.kron(a.T, ident) + np.kron(ident, a.T)
     x = np.linalg.solve(system, -q.reshape(-1)).reshape(d, d)
+    return 0.5 * (x + x.T)
+
+
+def scipy_lyapunov(a, q):
+    """Solve A^T X + X A + Q = 0 with scipy.linalg.solve_continuous_lyapunov,
+    symmetrized."""
+    x = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
     return 0.5 * (x + x.T)
 
 

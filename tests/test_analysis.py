@@ -1,5 +1,8 @@
+from importlib import resources
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 from gridfreq import (
@@ -14,9 +17,11 @@ from gridfreq import (
     h2_closed_form,
     h2_frequency_weighted,
     h2_gramian,
+    load_document,
     modal_decompose,
     mode_norms,
     optimal_allocation,
+    reduce_document,
     solve_lyapunov,
     steady_state,
     uniform_fleet,
@@ -78,6 +83,57 @@ class TestSolveLyapunov:
         a = np.array([[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(NumericalError):
             solve_lyapunov(a, np.eye(2))
+
+    def test_bitwise_equal_to_scipy_on_pairs_and_jordan_blocks(self):
+        """One Schur factorisation gives scipy's X to the last bit on
+        Hurwitz matrices with complex pairs and a defective eigenvalue."""
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            sigma, omega, lam = rng.uniform(0.1, 2.0, size=3)
+            blocks = [np.array([[sigma, omega], [-omega, sigma]]),  # pair -sigma +- i omega
+                      np.array([[lam, 1.0], [0.0, lam]]),  # Jordan block at -lam
+                      np.diag(rng.uniform(0.1, 3.0, size=int(rng.integers(0, 6))))]
+            spectrum = -scipy.linalg.block_diag(*blocks)
+            d = spectrum.shape[0]
+            t = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+            a = t @ spectrum @ np.linalg.inv(t)
+            g = rng.standard_normal((d, d))
+            q = g @ g.T
+            x = solve_lyapunov(a, q)
+            assert np.array_equal(x, oracles.scipy_lyapunov(a, q))
+
+    def test_right_half_plane_pair_names_its_real_part(self):
+        a = np.array([[0.1, 1.0], [-1.0, 0.1]])
+        with pytest.raises(NumericalError, match=r"right half-plane \(max Re = 1\.000e-01\)"):
+            solve_lyapunov(a, np.eye(2))
+
+    def test_imaginary_axis_pair_behind_a_stable_block(self):
+        a = np.array([[-1.0, 0.5, 1.0, 2.0],
+                      [0.0, -2.0, 3.0, 1.0],
+                      [0.0, 0.0, 0.0, 1.0],
+                      [0.0, 0.0, -1.0, 0.0]])  # eigenvalues -1, -2, +-i
+        with pytest.raises(NumericalError, match="imaginary axis"):
+            solve_lyapunov(a, np.eye(4))
+
+    def test_empty_matrix(self):
+        assert solve_lyapunov(np.zeros((0, 0)), np.zeros((0, 0))).shape == (0, 0)
+
+    def test_one_factorisation_per_solve(self, monkeypatch):
+        system = reduce_document(load_document(resources.files("gridfreq") / "data"
+                                               / "example-10bus.json"))
+        model = assemble_closed_loop(system.network, system.configs, system.noise)
+        calls = {"schur": 0, "eigvals": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
+        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+        assert h2_frequency_weighted(model).is_finite
+        assert calls == {"schur": 1, "eigvals": 0}
 
 
 class TestH2Gramian:

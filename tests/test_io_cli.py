@@ -572,6 +572,24 @@ class TestSchemaErrors:
         assert "Traceback" not in captured.err and message in captured.err
         assert "NaN" not in captured.out and "Infinity" not in captured.out
 
+    @pytest.mark.parametrize("command", ["simulate --horizon 2", "sweep --horizon 2"])
+    def test_disturbance_overflow_names_the_document_bus(self, capsys, tmp_path, command):
+        """Generator 2 of the minimal document is model index 1 after its load bus
+        is eliminated; the error names the document's id."""
+        obj = minimal_doc_obj()
+        obj["disturbances"] = [{"time": 0.5, "bus": 2, "delta_p": 1e308}] * 2
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(obj))
+        spec = tmp_path / "nadir.json"
+        spec.write_text(json.dumps({"axes": [{"name": "delta", "min": 2.0, "max": 6.0,
+                                              "count": 2}], "metric": "nadir"}))
+        argv = [*command.split(), "--network", str(path), "--out", str(tmp_path)]
+        if command.startswith("sweep"):
+            argv += ["--sweep", str(spec)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: disturbances on bus 2 sum to a non-finite injection\n"
+
     def test_non_utf8_file_names_the_path(self, capsys, tmp_path):
         path = tmp_path / "utf16.json"
         path.write_bytes(b"\xff\xfe{}")
@@ -591,5 +609,14 @@ class TestSchemaErrors:
         _edit(obj, data.draw(st.sampled_from(_json_paths(obj))), data.draw(replacement))
         path = tmp_path / "mutated.json"
         path.write_text(json.dumps(obj))
-        command = data.draw(st.sampled_from(["steady-state", "h2", "stability", "modal"]))
-        assert main([command, "--network", str(path)]) in (0, 1, 2)
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"axes": [{"name": "nu", "min": 0.5, "max": 1.0,
+                                              "count": 2}], "metric": "h2"}))
+        out = ["--out", str(tmp_path)]
+        command = data.draw(st.sampled_from([
+            ["steady-state"], ["h2"], ["stability"], ["modal"],
+            ["simulate", "--horizon", "1", *out],
+            ["simulate", "--horizon", "1", "--stochastic", "--seed", "1", *out],
+            ["sweep", "--sweep", str(spec), *out],
+        ]))
+        assert main([*command, "--network", str(path)]) in (0, 1, 2)
