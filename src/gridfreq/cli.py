@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -48,6 +49,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(value) -> str:
     return repr(float(value))
+
+
+def _finite_or_null(value: float) -> float | None:
+    """A JSON-safe number: strict JSON has no Infinity, so a non-finite value is null."""
+    return value if math.isfinite(value) else None
 
 
 def _emit(obj) -> None:
@@ -249,8 +255,8 @@ def _sweep_cmd(args) -> int:
             ],
             "metric": spec.metric,
             "points": len(rows),
-            "min": min(v for *_, v in rows),
-            "max": max(v for *_, v in rows),
+            "min": _finite_or_null(min(v for *_, v in rows)),
+            "max": _finite_or_null(max(v for *_, v in rows)),
             "csv": str(path),
         }
     )

@@ -108,10 +108,7 @@ class StateSpaceModel:
     @property
     def rotation_null_vector(self) -> np.ndarray:
         """Unit vector of the uniform-angle mode, always in the null space of A."""
-        n = self.n_buses
-        v = np.zeros(self.n_states)
-        v[:n] = 1.0 / np.sqrt(n)
-        return v
+        return _rotation_null_vector(self.n_buses, self.n_states)
 
 
 def _fleet_arrays(network: PowerNetwork, configs):
@@ -172,67 +169,112 @@ def steady_state(network: PowerNetwork, configs) -> SteadyState:
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _loop_matrices(laplacian, inertia, damping, configs, noise) -> dict:
-    """A, B, C, F and the inverter-power output of one closed loop.
+# The per-bus inverter parameters a closed loop reads; sweeps write their axes
+# into the same arrays.
+PARAMETERS = ("r_r", "m_v", "delta", "nu")
 
-    ``damping`` is each bus's load damping plus its governor slope 1/r_g.
-    The deviation of the commanded inverter power is
-    q_r_dev = power @ z + power_injection @ u: -omega/r_r for DC, that less
-    m_v*omega_dot for VI (omega_dot read off the swing rows of A and F), the
-    internal state x for IDROOP and zero for CP.  The keys are the matching
-    :class:`StateSpaceModel` fields.  An entry that overflows (a huge
-    susceptance over a tiny inertia) comes out non-finite without a warning;
-    the Lyapunov solve and the march's divergence scan report it.
+
+def _parameters(configs) -> dict[str, np.ndarray]:
+    """Each parameter of a fleet as a stack of one point, shape (1, n): the
+    configs' own values, 0.0 where a config has none."""
+    return {name: np.array([[getattr(c, name) or 0.0 for c in configs]], dtype=float)
+            for name in PARAMETERS}
+
+
+def _diag(v: np.ndarray) -> np.ndarray:
+    """np.diag of every vector along the last axis of a stack."""
+    out = np.zeros(v.shape + v.shape[-1:])
+    i = np.arange(v.shape[-1])
+    out[..., i, i] = v
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _loop_matrices(laplacian, inertia, damping, modes, params, noise) -> dict:
+    """A, B, C, F and the inverter-power output of a stack of closed loops.
+
+    ``modes`` holds each bus's inverter mode and ``params`` maps each of
+    :data:`PARAMETERS` to an array of shape (P, n): P points that share the
+    network, the modes and the noise.  Every returned matrix carries the
+    same leading point axis.  ``damping`` is each bus's load damping plus
+    its governor slope 1/r_g.  The deviation of the commanded inverter
+    power is q_r_dev = power @ z + power_injection @ u: -omega/r_r for DC,
+    that less m_v*omega_dot for VI (omega_dot read off the swing rows of A
+    and F), the internal state x for IDROOP and zero for CP.  The keys are
+    the matching :class:`StateSpaceModel` fields.  An entry that overflows
+    (a huge susceptance over a tiny inertia) comes out non-finite without a
+    warning; the Lyapunov solve and the march's divergence scan report it.
     """
     n = laplacian.shape[0]
-    static_rr_inv = np.array(
-        [1.0 / c.r_r if c.mode in (InverterMode.DC, InverterMode.VI) else 0.0 for c in configs]
-    )
-    m_v = np.array([c.m_v if c.mode is InverterMode.VI else 0.0 for c in configs])
+    r_r, m_v = params["r_r"], params["m_v"]
+    lead = r_r.shape[:-1]
+    static = np.array([mode in (InverterMode.DC, InverterMode.VI) for mode in modes], dtype=bool)
+    static_rr_inv = np.divide(1.0, r_r, out=np.zeros(r_r.shape), where=static)
     m_hat = inertia + m_v
     d_hat = damping + static_rr_inv
 
-    idroop_buses = tuple(i for i, c in enumerate(configs) if c.mode is InverterMode.IDROOP)
-    ids = np.array(idroop_buses, dtype=int)
-    delta = np.array([configs[i].delta for i in idroop_buses])
-    nu = np.array([configs[i].nu for i in idroop_buses])
-    rr_inv_id = np.array([1.0 / configs[i].r_r for i in idroop_buses])
+    ids = np.array([i for i, mode in enumerate(modes) if mode is InverterMode.IDROOP], dtype=int)
+    delta, nu = params["delta"][..., ids], params["nu"][..., ids]
+    rr_inv_id = 1.0 / r_r[..., ids]
+    m_id = m_hat[..., ids]
     k1, k2, k3 = (np.array([getattr(g, k) for g in noise]) for k in ("k1", "k2", "k3"))
 
     dim = 2 * n + ids.size
     w = slice(n, 2 * n)
     xs = 2 * n + np.arange(ids.size)
-    a = np.zeros((dim, dim))
-    a[:n, w] = np.eye(n)
-    a[w, :n] = -laplacian / m_hat[:, None]
-    a[w, w] = -np.diag(d_hat / m_hat)
-    a[n + ids, xs] = 1.0 / m_hat[ids]
+    a = np.zeros(lead + (dim, dim))
+    a[..., :n, w] = np.eye(n)
+    a[..., w, :n] = -laplacian / m_hat[..., :, None]
+    a[..., w, w] = -_diag(d_hat / m_hat)
+    a[..., n + ids, xs] = 1.0 / m_id
     # x_dot = -delta*(omega/r_r + x) - nu*omega_dot, with omega_dot
     # replaced by the swing equation of the inverter's bus.
-    a[xs, :n] = nu[:, None] * laplacian[ids] / m_hat[ids, None]
-    a[xs, n + ids] = -delta * rr_inv_id + nu * d_hat[ids] / m_hat[ids]
-    a[xs, xs] = -delta - nu / m_hat[ids]
+    a[..., xs, :n] = nu[..., :, None] * laplacian[ids] / m_id[..., :, None]
+    a[..., xs, n + ids] = -delta * rr_inv_id + nu * d_hat[..., ids] / m_id
+    a[..., xs, xs] = -delta - nu / m_id
 
-    injection = np.zeros((dim, n))
-    injection[w] = np.diag(1.0 / m_hat)
-    injection[xs, ids] = -nu / m_hat[ids]
+    injection = np.zeros(lead + (dim, n))
+    injection[..., w, :] = _diag(1.0 / m_hat)
+    injection[..., xs, ids] = -nu / m_id
 
-    b = np.zeros((dim, 3 * n))
-    b[:, :n] = injection * k1[None, :]
-    b[w, n : 2 * n] = np.diag(-static_rr_inv * k2 / m_hat)
-    b[w, 2 * n :] = np.diag(-m_v * k3 / m_hat)
-    b[xs, n + ids] = -delta * k2[ids] * rr_inv_id
-    b[xs, 2 * n + ids] = -nu * k3[ids]
+    b = np.zeros(lead + (dim, 3 * n))
+    b[..., :n] = injection * k1
+    b[..., w, n : 2 * n] = _diag(-static_rr_inv * k2 / m_hat)
+    b[..., w, 2 * n :] = _diag(-m_v * k3 / m_hat)
+    b[..., xs, n + ids] = -delta * k2[ids] * rr_inv_id
+    b[..., xs, 2 * n + ids] = -nu * k3[ids]
 
-    c = np.zeros((n, dim))
-    c[:, w] = np.eye(n)
+    c = np.zeros(lead + (n, dim))
+    c[..., w] = np.eye(n)
 
-    power = -m_v[:, None] * a[w]
-    power[:, w] -= np.diag(static_rr_inv)
-    power[ids, xs] = 1.0
+    power = -m_v[..., :, None] * a[..., w, :]
+    power[..., w] -= _diag(static_rr_inv)
+    power[..., ids, xs] = 1.0
     return dict(a=a, b=b, c=c, injection=injection, power=power,
-                power_injection=-m_v[:, None] * injection[w], idroop_buses=idroop_buses)
+                power_injection=-m_v[..., :, None] * injection[..., w, :])
+
+
+def _loop_stack(network: PowerNetwork, configs, noise, params) -> dict:
+    """:func:`_loop_matrices` of ``network`` under the modes of ``configs`` at
+    the parameter points ``params`` (see :func:`_parameters`)."""
+    m, d, rg_inv = _fleet_arrays(network, configs)
+    return _loop_matrices(network.laplacian, m, d + rg_inv, [c.mode for c in configs], params,
+                          _noise_gains(noise, network.n_buses))
+
+
+def _noise_gains(noise, n: int) -> tuple[NoiseGains, ...]:
+    if noise is None:
+        return tuple(NoiseGains() for _ in range(n))
+    noise = tuple(noise)
+    if len(noise) != n:
+        raise ValidationError(f"need one NoiseGains per bus, got {len(noise)}")
+    return noise
+
+
+def _rotation_null_vector(n: int, dim: int) -> np.ndarray:
+    v = np.zeros(dim)
+    v[:n] = 1.0 / np.sqrt(n)
+    return v
 
 
 def assemble_closed_loop(network: PowerNetwork, configs,
@@ -246,19 +288,13 @@ def assemble_closed_loop(network: PowerNetwork, configs,
     the IDROOP states (scaled by -nu/m), which is exactly how the controller
     sees the true frequency derivative.
     """
-    m, d, rg_inv = _fleet_arrays(network, configs)
-    n = network.n_buses
     configs = tuple(configs)
-    if noise is None:
-        noise = tuple(NoiseGains() for _ in range(n))
-    else:
-        noise = tuple(noise)
-        if len(noise) != n:
-            raise ValidationError(f"need one NoiseGains per bus, got {len(noise)}")
+    loop = _loop_stack(network, configs, noise, _parameters(configs))
     return StateSpaceModel(
-        **_loop_matrices(network.laplacian, m, d + rg_inv, configs, noise),
-        n_buses=n,
+        **{key: value[0] for key, value in loop.items()},
+        n_buses=network.n_buses,
+        idroop_buses=tuple(i for i, c in enumerate(configs) if c.mode is InverterMode.IDROOP),
         configs=configs,
-        noise=noise,
+        noise=_noise_gains(noise, network.n_buses),
         network=network,
     )

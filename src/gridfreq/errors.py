@@ -20,7 +20,14 @@ class InjectionOverflow(ValidationError):
 
 
 class NumericalError(GridFreqError):
-    """A numerical procedure failed (unstable matrix, non-convergence, ...)."""
+    """A numerical procedure failed (unstable matrix, non-convergence, ...).
+
+    ``point``, when set, is the index of the failing item of a stacked
+    evaluation."""
+
+    def __init__(self, message, point=None):
+        super().__init__(message)
+        self.point = point
 
 
 class SimulationDiverged(NumericalError):

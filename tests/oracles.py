@@ -5,16 +5,20 @@ Kronecker solve.  The H2 references are meant for small systems (up to
 about 30 states): the Kronecker solve builds a dense d^2 x d^2 system, and
 the quadrature solves one d x d complex system per grid frequency.  The
 reference march is the per-step time-domain loop that gridfreq's
-precomputed-drive march replaced.  The component finder is a plain
-breadth-first search over adjacency sets.
+precomputed-drive march replaced.  The sweep route evaluates an h2 sweep
+one point at a time through the public per-model functions, as sweeps ran
+before they were stacked.  The component finder is a plain breadth-first
+search over adjacency sets.
 """
 
 from collections import deque
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import scipy.linalg
 
-from gridfreq import SimulationDiverged
+from gridfreq import SimulationDiverged, assemble_closed_loop, h2_frequency_weighted
 from gridfreq.sim import _rk4_propagators
 
 
@@ -73,6 +77,21 @@ def quadrature_h2(a, b_eff, c):
         values[start : start + 500] = np.sum(np.abs(c @ sol) ** 2, axis=(1, 2))
     body = np.trapezoid(values * omegas, np.log(omegas))
     return float(body + values[0] * omegas[0] + values[-1] * omegas[-1]) / np.pi
+
+
+def sweep_point_route(network, configs, noise, spec):
+    """The rows of an h2 sweep, one point at a time: each point's values go
+    on every config that carries the parameter, and the point's own model is
+    assembled and solved."""
+    rows = []
+    for point in product(*(axis.values() for axis in spec.axes)):
+        swept = [replace(c, **{axis.name: float(value) for axis, value in zip(spec.axes, point)
+                               if getattr(c, axis.name) is not None})
+                 for c in configs]
+        result = h2_frequency_weighted(assemble_closed_loop(network, swept, noise))
+        rows.append((float(point[0]), float(point[1]) if len(point) == 2 else None,
+                     result.value if result.is_finite else float("inf")))
+    return rows
 
 
 def noise_increments(model, config):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -102,6 +103,18 @@ class TestSolveLyapunov:
             x = solve_lyapunov(a, q)
             assert np.array_equal(x, oracles.scipy_lyapunov(a, q))
 
+    @pytest.mark.parametrize("name", ["example-10bus.json", "example-10bus-dc.json",
+                                      "example-10bus-vi.json", "example-10bus-cp.json"])
+    def test_bitwise_equal_to_scipy_on_bundled_models(self, name):
+        """The shifted Gramian equations of the bundled fleets, their r_r swept."""
+        system = reduce_document(load_document(resources.files("gridfreq") / "data" / name))
+        for r_r in (2.9, 5.0, 8.9, 15.0):
+            configs = [c if c.r_r is None else replace(c, r_r=r_r) for c in system.configs]
+            model = assemble_closed_loop(system.network, configs, system.noise)
+            v = model.rotation_null_vector
+            a, q = model.a - np.outer(v, v), model.c.T @ model.c
+            assert np.array_equal(solve_lyapunov(a, q), oracles.scipy_lyapunov(a, q))
+
     def test_right_half_plane_pair_names_its_real_part(self):
         a = np.array([[0.1, 1.0], [-1.0, 0.1]])
         with pytest.raises(NumericalError, match=r"right half-plane \(max Re = 1\.000e-01\)"):
@@ -117,6 +130,50 @@ class TestSolveLyapunov:
 
     def test_empty_matrix(self):
         assert solve_lyapunov(np.zeros((0, 0)), np.zeros((0, 0))).shape == (0, 0)
+
+    @staticmethod
+    def stable_stack(rng, points, d):
+        """Random Hurwitz matrices and positive semidefinite weights, (points, d, d) each."""
+        a = rng.standard_normal((points, d, d))
+        shift = np.abs(np.linalg.eigvals(a).real).max(axis=1) + 0.5
+        g = rng.standard_normal((points, d, d))
+        return a - shift[:, None, None] * np.eye(d), g @ g.transpose(0, 2, 1)
+
+    def test_stack_equals_its_per_slice_solves_bitwise(self):
+        rng = np.random.default_rng(17)
+        for d in (1, 4, 9):
+            a, q = self.stable_stack(rng, 6, d)
+            x = solve_lyapunov(a, q)
+            assert x.shape == (6, d, d)
+            for point in range(6):
+                assert np.array_equal(x[point], solve_lyapunov(a[point], q[point]))
+
+    def test_stack_with_one_non_hurwitz_slice_is_rejected(self):
+        a, q = self.stable_stack(np.random.default_rng(4), 4, 5)
+        a[2] += 50.0 * np.eye(5)
+        with pytest.raises(NumericalError, match="right half-plane") as excinfo:
+            solve_lyapunov(a, q)
+        assert excinfo.value.point == 2
+
+    def test_stack_raises_for_its_first_failing_point(self):
+        a, q = self.stable_stack(np.random.default_rng(6), 5, 4)
+        a[3] = np.array([[-1.0, 0.5, 1.0, 2.0],
+                         [0.0, -2.0, 3.0, 1.0],
+                         [0.0, 0.0, 0.0, 1.0],
+                         [0.0, 0.0, -1.0, 0.0]])  # eigenvalues -1, -2, +-i
+        q[1, 0, 0] = np.inf
+        with pytest.raises(NumericalError, match="non-finite") as excinfo:
+            solve_lyapunov(a, q)
+        assert excinfo.value.point == 1
+        with pytest.raises(NumericalError, match="imaginary axis") as excinfo:
+            solve_lyapunov(np.delete(a, 1, axis=0), np.delete(q, 1, axis=0))
+        assert excinfo.value.point == 2
+
+    def test_empty_stack_and_mismatched_shapes(self):
+        assert solve_lyapunov(np.zeros((3, 0, 0)), np.zeros((3, 0, 0))).shape == (3, 0, 0)
+        assert solve_lyapunov(np.zeros((0, 2, 2)), np.zeros((0, 2, 2))).shape == (0, 2, 2)
+        with pytest.raises(ValidationError, match="shape mismatch"):
+            solve_lyapunov(-np.eye(2)[None].repeat(3, axis=0), np.eye(2))
 
     def test_one_factorisation_per_solve(self, monkeypatch):
         system = reduce_document(load_document(resources.files("gridfreq") / "data"

@@ -620,3 +620,65 @@ class TestSchemaErrors:
             ["sweep", "--sweep", str(spec), *out],
         ]))
         assert main([*command, "--network", str(path)]) in (0, 1, 2)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+TWO_AXIS_SPEC = {"axes": [{"name": "delta", "min": 1.0, "max": 6.0, "count": 2},
+                          {"name": "nu", "min": 0.1, "max": 1.0, "count": 2, "spacing": "log"}],
+                 "metric": "h2"}
+
+
+class TestSweepCommand:
+    def run(self, tmp_path, network, spec, *flags):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(spec))
+        return main(["sweep", "--network", network, "--sweep", str(path), "--out", str(tmp_path),
+                     *flags])
+
+    def test_infinite_extremes_print_as_null(self, capsys, tmp_path):
+        assert self.run(tmp_path, EXAMPLE_VI, TWO_AXIS_SPEC) == 0
+        summary = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert summary["points"] == 4
+        assert summary["min"] is None and summary["max"] is None
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert all(row.endswith(",inf") for row in rows)
+
+    @pytest.mark.parametrize("network,axis,message", [
+        (EXAMPLE_DC, {"name": "r_r", "min": 1e-300, "max": 15.0, "count": 3, "spacing": "log"},
+         "sweep point 0 (r_r=1e-300): state matrix has eigenvalues in the right half-plane"),
+        (EXAMPLE, {"name": "nu", "min": 1.0, "max": 1e308, "count": 2},
+         "sweep point 1 (nu=1e+308): noise input matrix has non-finite entries"),
+    ], ids=["right-half-plane", "overflowing-noise"])
+    def test_numerical_failure_names_its_point(self, capsys, tmp_path, network, axis, message):
+        assert self.run(tmp_path, network, {"axes": [axis], "metric": "h2"}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {message}") and "Traceback" not in err
+
+    def test_invalid_axis_value_exits_one(self, capsys, tmp_path):
+        spec = {"axes": [{"name": "delta", "min": -1.0, "max": 1.0, "count": 3}], "metric": "h2"}
+        assert self.run(tmp_path, EXAMPLE, spec) == 1
+        assert capsys.readouterr().err == "error: IDROOP inverter requires delta > 0\n"
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_sweep_spec_never_raises(self, capsys, tmp_path, data):
+        spec = json.loads(json.dumps(TWO_AXIS_SPEC))
+        replacement = st.one_of(
+            st.just(DELETE), st.text(max_size=6), st.none(), st.booleans(),
+            st.integers(-3, 6), st.floats(),
+            st.sampled_from(["delta", "nu", "r_r", "m_v", "h2", "nadir", "linear", "log"]),
+            st.lists(st.integers(), max_size=2),
+            st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+        _edit(spec, data.draw(st.sampled_from(_json_paths(spec))), data.draw(replacement))
+        for network in (EXAMPLE, EXAMPLE_VI):
+            code = self.run(tmp_path, network, spec, "--horizon", "1")
+            captured = capsys.readouterr()
+            assert code in (0, 1, 2)
+            assert "Traceback" not in captured.err
+            if code == 0:
+                json.loads(captured.out, parse_constant=_reject_constant)
+
