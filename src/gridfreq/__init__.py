@@ -1,7 +1,7 @@
 """Frequency dynamics of inverter-controlled power networks.
 
 Library layout: :mod:`gridfreq.network` (graph, Laplacian, Kron reduction),
-:mod:`gridfreq.control` (inverter laws, stability certificate),
+:mod:`gridfreq.control` (inverter configs, stability certificate),
 :mod:`gridfreq.dynamics` (closed-loop assembly, steady states),
 :mod:`gridfreq.analysis` (H2 norms, modal decomposition, dispatch optimality),
 :mod:`gridfreq.sim` (time-domain integration and metrics),
@@ -31,9 +31,6 @@ from .control import (
     StabilityCertificate,
     StabilityCondition,
     check_decentralized_stability,
-    idroop_step,
-    inverter_power,
-    lyapunov_diagnostics,
     uniform_fleet,
 )
 from .dynamics import StateSpaceModel, SteadyState, assemble_closed_loop, steady_state, sync_frequency
@@ -41,13 +38,11 @@ from .errors import GridFreqError, NumericalError, SimulationDiverged, Validatio
 from .io import (
     NetworkDocument,
     ReducedSystem,
-    document_to_obj,
     load_document,
     load_sweep_spec,
     parse_document,
     parse_sweep_spec,
     reduce_document,
-    save_document,
 )
 from .network import (
     Bus,
@@ -56,7 +51,6 @@ from .network import (
     build_laplacian,
     kron_reduce,
     kron_reduce_network,
-    laplacian_violations,
     validate_network,
 )
 from .sim import (

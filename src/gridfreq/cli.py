@@ -60,10 +60,6 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _load_reduced(path):
-    return reduce_document(load_document(path))
-
-
 @contextmanager
 def _document_bus_ids(system):
     """Name the bus of an injection overflow by its document id, not its model index."""
@@ -73,8 +69,7 @@ def _document_bus_ids(system):
         raise InjectionOverflow(exc.bus, system.bus_ids[exc.bus]) from None
 
 
-def _steady_state_cmd(args) -> int:
-    system = _load_reduced(args.network)
+def _steady_state_cmd(args, system) -> int:
     ss = steady_state(system.network, system.configs)
     report = verify_steady_state_optimality(system.network, system.configs)
     _emit(
@@ -121,8 +116,7 @@ def _write_trajectory_csv(path: Path, trajectory, bus_ids) -> None:
             fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
-def _simulate_cmd(args) -> int:
-    system = _load_reduced(args.network)
+def _simulate_cmd(args, system) -> int:
     if args.stochastic and args.seed is None:
         raise ValidationError("--stochastic requires --seed")
     horizon = args.horizon
@@ -164,8 +158,7 @@ def _h2_value(result) -> dict:
     return {"feedthrough_gain": result.feedthrough_gain}
 
 
-def _h2_cmd(args) -> int:
-    system = _load_reduced(args.network)
+def _h2_cmd(args, system) -> int:
     model = assemble_closed_loop(system.network, system.configs, system.noise)
     result = h2_frequency_weighted(model)
     summary = {"kind": result.kind, "method": "gramian", **_h2_value(result)}
@@ -181,8 +174,7 @@ def _h2_cmd(args) -> int:
     return EXIT_OK
 
 
-def _stability_cmd(args) -> int:
-    system = _load_reduced(args.network)
+def _stability_cmd(args, system) -> int:
     certificate = check_decentralized_stability(system.configs, system.network.buses)
     bus_ids = system.bus_ids
     _emit(
@@ -205,8 +197,7 @@ def _stability_cmd(args) -> int:
     return EXIT_OK
 
 
-def _modal_cmd(args) -> int:
-    system = _load_reduced(args.network)
+def _modal_cmd(args, system) -> int:
     decomposition = modal_decompose(system.network, system.configs, system.noise)
     norms = mode_norms(decomposition)
     model = assemble_closed_loop(system.network, system.configs, system.noise)
@@ -226,8 +217,7 @@ def _modal_cmd(args) -> int:
     return EXIT_OK
 
 
-def _sweep_cmd(args) -> int:
-    system = _load_reduced(args.network)
+def _sweep_cmd(args, system) -> int:
     spec = load_sweep_spec(args.sweep)
     sim_config = None
     if spec.metric == "nadir":
@@ -307,17 +297,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
     try:
-        return args.run(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return args.run(args, reduce_document(load_document(args.network)))
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except GridFreqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (GridFreqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -1,9 +1,10 @@
-"""Inverter control laws, the decentralized stability test, and Lyapunov diagnostics.
+"""Inverter configurations and the decentralized stability test.
 
 Four operating modes are supported: constant power (CP), proportional droop
 (DC), virtual inertia (VI, droop plus a frequency-derivative term), and the
 dynamic droop law (IDROOP) whose internal first-order state filters both the
-frequency and its derivative before they reach the grid.
+frequency and its derivative before they reach the grid.  The laws
+themselves are written down once, as matrices, in :mod:`gridfreq.dynamics`.
 """
 
 from __future__ import annotations
@@ -12,10 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-import numpy as np
-
 from .errors import ValidationError
-from .network import PowerNetwork
 
 __all__ = [
     "InverterMode",
@@ -24,9 +22,6 @@ __all__ = [
     "StabilityCondition",
     "StabilityCertificate",
     "check_decentralized_stability",
-    "idroop_step",
-    "inverter_power",
-    "lyapunov_diagnostics",
     "uniform_fleet",
 ]
 
@@ -123,48 +118,6 @@ def uniform_fleet(n: int, mode, **params) -> list[InverterConfig]:
     return [replace(cfg) for _ in range(n)]
 
 
-def inverter_power(config: InverterConfig, omega: float, omega_dot: float = 0.0,
-                   x: float | None = None) -> float:
-    """Commanded inverter power for one bus.
-
-    CP holds the setpoint; DC subtracts omega/r_r; VI additionally subtracts
-    m_v*omega_dot; IDROOP outputs q0 plus its internal state x (which must be
-    supplied by the caller).
-    """
-    mode = config.mode
-    if mode is InverterMode.CP:
-        return config.q0
-    if mode is InverterMode.DC:
-        return config.q0 - omega / config.r_r
-    if mode is InverterMode.VI:
-        return config.q0 - omega / config.r_r - config.m_v * omega_dot
-    if x is None:
-        raise ValidationError("IDROOP inverter power needs the internal state x")
-    return config.q0 + x
-
-
-def idroop_step(config: InverterConfig, omega: float, omega_dot: float, x: float,
-                noise: tuple[float, float] | None = None,
-                gains: NoiseGains | None = None) -> float:
-    """Time derivative of the dynamic-droop internal state.
-
-    x_dot = delta*(-omega/r_r - x) - nu*omega_dot.  When ``noise`` is given as
-    (w2, w2_dot) samples of the frequency-measurement noise and its derivative,
-    the corresponding corruption -delta*k2*w2/r_r - nu*k3*w2_dot is included
-    (``gains`` supplies k2, k3).
-    """
-    if config.mode is not InverterMode.IDROOP:
-        raise ValidationError(f"idroop_step needs an IDROOP config, got {config.mode.value}")
-    rate = config.delta * (-omega / config.r_r - x) - config.nu * omega_dot
-    if noise is not None:
-        if gains is None:
-            raise ValidationError("noise samples supplied without their gains")
-        w2, w2_dot = noise
-        rate -= config.delta * gains.k2 * w2 / config.r_r
-        rate -= config.nu * gains.k3 * w2_dot
-    return rate
-
-
 @dataclass(frozen=True)
 class StabilityCondition:
     """Stability test for one bus.
@@ -188,9 +141,6 @@ class StabilityCondition:
 class StabilityCertificate:
     conditions: tuple[StabilityCondition, ...]
     passed: bool
-
-    def failing_buses(self) -> list[int]:
-        return [c.bus for c in self.conditions if not c.passed]
 
 
 def check_decentralized_stability(configs, buses) -> StabilityCertificate:
@@ -228,38 +178,3 @@ def check_decentralized_stability(configs, buses) -> StabilityCertificate:
         )
     return StabilityCertificate(conditions=tuple(rows), passed=all(r.passed for r in rows))
 
-
-def _idroop_arrays(configs):
-    modes_ok = all(c.mode is InverterMode.IDROOP for c in configs)
-    if not modes_ok:
-        raise ValidationError("Lyapunov diagnostics require an all-IDROOP fleet")
-    delta = np.array([c.delta for c in configs])
-    nu = np.array([c.nu for c in configs])
-    rr_inv = np.array([1.0 / c.r_r for c in configs])
-    return delta, nu, rr_inv
-
-
-def lyapunov_diagnostics(state, network: PowerNetwork, configs) -> tuple[float, float]:
-    """Energy function V and its decay rate V_dot at a deviation state.
-
-    ``state`` is (dtheta, domega, dx) about a synchronous equilibrium.  V is
-    the angle-stretching energy plus kinetic energy plus a weighted norm of
-    dx + nu*domega; V_dot is its derivative along the closed-loop flow.  When
-    the decentralized stability test passes, V >= 0 and V_dot <= 0.
-    """
-    dtheta, domega, dx = (np.asarray(v, dtype=float) for v in state)
-    delta, nu, rr_inv = _idroop_arrays(configs)
-    m = np.array([b.inertia for b in network.buses])
-    damping = np.array([b.damping + 1.0 / b.governor_droop for b in network.buses])
-    lap = network.laplacian
-
-    t_diag = 1.0 / (delta * (nu + rr_inv))
-    shifted = dx + nu * domega
-    v = 0.5 * (dtheta @ lap @ dtheta + domega @ (m * domega) + shifted @ (t_diag * shifted))
-    # Chain rule along the closed loop with the cross term cancelled by the
-    # choice of T: the x-quadratic weight is T*K_delta = 1/(nu + 1/r_r).
-    # (Writing nu/(delta*(nu + 1/r_r)) here instead does not match the actual
-    # derivative of V; checked against finite differences of V along the flow.)
-    v_dot = -(domega @ ((damping + nu * rr_inv / (nu + rr_inv)) * domega))
-    v_dot -= dx @ ((1.0 / (nu + rr_inv)) * dx)
-    return float(v), float(v_dot)

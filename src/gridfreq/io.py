@@ -1,11 +1,9 @@
-"""Network document ingestion and emission (versioned JSON schema), and
-sweep-spec ingestion.
+"""Network document and sweep-spec ingestion (versioned JSON schema).
 
 A document carries buses, lines, per-generator inverter configs, per-bus
-noise gains and optional scheduled injection steps.  Parsing and rendering
-round-trip exactly: a document emitted by :func:`document_to_obj` re-parses
-to an identical in-memory model.  Documents and sweep specs share one JSON
-reader, and their schema errors name the field in the same way.
+noise gains and optional scheduled injection steps.  No command writes a
+document, so there is no writer here.  Documents and sweep specs share one
+JSON reader, and their schema errors name the field in the same way.
 """
 
 from __future__ import annotations
@@ -25,13 +23,11 @@ __all__ = [
     "NetworkDocument",
     "ReducedSystem",
     "SCHEMA_VERSION",
-    "document_to_obj",
     "load_document",
     "load_sweep_spec",
     "parse_document",
     "parse_sweep_spec",
     "reduce_document",
-    "save_document",
 ]
 
 SCHEMA_VERSION = "1"
@@ -211,43 +207,6 @@ def parse_sweep_spec(obj: dict) -> SweepSpec:
     return SweepSpec(axes=tuple(axes), metric=metric)
 
 
-def document_to_obj(doc: NetworkDocument) -> dict:
-    """Render a document back to a JSON-ready object with stable key order."""
-    obj: dict = {"schema_version": doc.schema_version}
-    if doc.comment is not None:
-        obj["comment"] = doc.comment
-    obj["buses"] = []
-    for bus in doc.network.buses:
-        entry: dict = {"id": bus.id, "kind": bus.kind}
-        if bus.inertia is not None:
-            entry["inertia"] = bus.inertia
-        entry["damping"] = bus.damping
-        if bus.governor_droop is not None:
-            entry["governor_droop"] = bus.governor_droop
-        entry["injection"] = bus.injection
-        obj["buses"].append(entry)
-    obj["lines"] = [
-        {"from": ln.from_bus, "to": ln.to_bus, "susceptance": ln.susceptance}
-        for ln in doc.network.lines
-    ]
-    obj["inverters"] = []
-    for bus_id, cfg in zip(sorted(doc.network.generator_ids), doc.inverters):
-        entry = {"bus": bus_id, "mode": cfg.mode.value, "q0": cfg.q0}
-        for key in ("r_r", "m_v", "delta", "nu"):
-            value = getattr(cfg, key)
-            if value is not None:
-                entry[key] = value
-        obj["inverters"].append(entry)
-    obj["noise"] = [
-        {"bus": i, "k1": g.k1, "k2": g.k2, "k3": g.k3} for i, g in enumerate(doc.noise)
-    ]
-    if doc.disturbances:
-        obj["disturbances"] = [
-            {"time": d.time, "bus": d.bus, "delta_p": d.delta_p} for d in doc.disturbances
-        ]
-    return obj
-
-
 def _read_json(path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
@@ -261,10 +220,6 @@ def load_document(path) -> NetworkDocument:
 
 def load_sweep_spec(path) -> SweepSpec:
     return parse_sweep_spec(_read_json(path))
-
-
-def save_document(doc: NetworkDocument, path) -> None:
-    Path(path).write_text(json.dumps(document_to_obj(doc), indent=2) + "\n")
 
 
 def reduce_document(doc: NetworkDocument) -> ReducedSystem:

@@ -5,7 +5,9 @@ susceptances.  A network is validated once, when its cached read-only
 Laplacian (:attr:`PowerNetwork.laplacian`) is first read, and every analysis
 reads that matrix.  All dynamic analysis in this package runs on a network
 where every bus hosts a generator; load buses are eliminated beforehand with
-:func:`kron_reduce` / :func:`kron_reduce_network`.
+:func:`kron_reduce` / :func:`kron_reduce_network`.  The library trusts the
+reduction's output; the tests check it against the Laplacian invariants
+(symmetry, zero row sums, no positive off-diagonal, semidefiniteness).
 """
 
 from __future__ import annotations
@@ -25,16 +27,11 @@ __all__ = [
     "build_laplacian",
     "kron_reduce",
     "kron_reduce_network",
-    "laplacian_violations",
     "validate_network",
 ]
 
 GENERATOR = "generator"
 LOAD = "load"
-
-# Per-unit susceptances are O(1)-O(100), so an absolute row-sum tolerance
-# of 1e-12 separates real violations from rounding.
-ROW_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -209,31 +206,6 @@ def validate_network(network: PowerNetwork) -> list[str]:
 def build_laplacian(network: PowerNetwork) -> np.ndarray:
     """The network's read-only susceptance Laplacian, :attr:`PowerNetwork.laplacian`."""
     return network.laplacian
-
-
-def laplacian_violations(matrix: np.ndarray, row_sum_tol: float = ROW_SUM_TOL) -> list[str]:
-    """Check the structural invariants of a susceptance Laplacian.
-
-    Returns human-readable violations: asymmetry, nonzero row sums (absolute
-    tolerance ``row_sum_tol``), positive off-diagonals, or indefiniteness.
-    """
-    lap = np.asarray(matrix, dtype=float)
-    violations = []
-    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
-        return [f"matrix is not square: shape {lap.shape}"]
-    if not np.allclose(lap, lap.T, rtol=0.0, atol=1e-12):
-        violations.append("matrix is not symmetric")
-    row_sums = lap.sum(axis=1)
-    bad_rows = np.flatnonzero(np.abs(row_sums) > row_sum_tol)
-    if bad_rows.size:
-        violations.append(f"rows {bad_rows.tolist()} do not sum to zero")
-    off = lap - np.diag(np.diag(lap))
-    if np.any(off > 1e-12):
-        violations.append("positive off-diagonal entries present")
-    eigenvalues = np.linalg.eigvalsh(0.5 * (lap + lap.T))
-    if eigenvalues.size and eigenvalues[0] < -1e-9:
-        violations.append(f"matrix is not positive semidefinite (min eig {eigenvalues[0]:.3e})")
-    return violations
 
 
 def kron_reduce(laplacian: np.ndarray, retained) -> np.ndarray:

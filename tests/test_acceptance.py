@@ -23,7 +23,6 @@ from gridfreq import (
     h2_closed_form,
     h2_frequency_weighted,
     h2_gramian,
-    lyapunov_diagnostics,
     modal_decompose,
     mode_norms,
     simulate_deterministic,
@@ -35,6 +34,7 @@ from gridfreq import (
 from gridfreq.io import load_document, reduce_document
 from gridfreq.sweep import SweepAxis, SweepSpec, run_sweep
 from conftest import high_noise, path_network, random_connected_network, ten_bus_network
+from oracles import lyapunov_diagnostics
 
 DATA = resources.files("gridfreq") / "data"
 HIGH_NOISE = high_noise(10)

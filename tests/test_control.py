@@ -9,13 +9,11 @@ from gridfreq import (
     PowerNetwork,
     ValidationError,
     check_decentralized_stability,
-    idroop_step,
-    inverter_power,
-    lyapunov_diagnostics,
     uniform_fleet,
 )
 from gridfreq.dynamics import assemble_closed_loop
-from conftest import path_network
+from conftest import path_network, random_connected_network
+from oracles import idroop_step, inverter_power, lyapunov_diagnostics
 
 
 class TestInverterConfig:
@@ -142,6 +140,28 @@ class TestStabilityCertificate:
         assert not cert.conditions[0].applies
         assert "does not apply" in cert.conditions[0].note
         assert cert.conditions[1].applies
+
+    def test_incremental_deployment_keeps_mixed_fleets_stable(self):
+        # The paper's claim: certified iDroop buses can join any mix of the
+        # other modes one by one, and the closed loop stays stable.
+        rng = np.random.default_rng(5)
+        draws = {
+            "CP": lambda: InverterConfig.constant_power(q0=float(rng.uniform(-0.2, 0.2))),
+            "DC": lambda: InverterConfig.droop(r_r=float(rng.uniform(1.0, 50.0))),
+            "VI": lambda: InverterConfig.virtual_inertia(r_r=float(rng.uniform(1.0, 50.0)),
+                                                         m_v=float(rng.uniform(0.0, 1.0))),
+            "IDROOP": lambda: InverterConfig.idroop(r_r=float(rng.uniform(1.0, 50.0)),
+                                                    delta=float(10.0 ** rng.uniform(-1.0, 1.0)),
+                                                    nu=float(rng.uniform(0.01, 2.0))),
+        }
+        for _ in range(300):
+            net = random_connected_network(rng)
+            cfgs = [draws[mode]() for mode in rng.choice(list(draws), size=net.n_buses)]
+            assert check_decentralized_stability(cfgs, net.buses).passed
+            eigenvalues = np.linalg.eigvals(assemble_closed_loop(net, cfgs).a)
+            structural = np.abs(eigenvalues) <= 1e-9
+            assert structural.sum() == 1
+            assert eigenvalues[~structural].real.max() < 0.0
 
 
 class TestLyapunovDiagnostics:

@@ -12,8 +12,6 @@ from gridfreq import (
     assemble_closed_loop,
     build_laplacian,
     check_decentralized_stability,
-    idroop_step,
-    inverter_power,
     modal_decompose,
     simulate_deterministic,
     steady_state,
@@ -21,6 +19,7 @@ from gridfreq import (
     uniform_fleet,
 )
 from conftest import high_noise, path_network, random_connected_network, ten_bus_network
+from oracles import idroop_step, inverter_power
 
 FLEETS = {
     "CP": {},

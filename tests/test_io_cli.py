@@ -12,15 +12,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from gridfreq import (
     Trajectory,
     ValidationError,
-    document_to_obj,
     load_document,
     parse_document,
     reduce_document,
-    save_document,
 )
 from gridfreq.cli import _write_trajectory_csv, main
 import gridfreq.dynamics
 import gridfreq.network
+from oracles import document_to_obj, save_document
 
 DATA = resources.files("gridfreq") / "data"
 EXAMPLE = str(DATA / "example-10bus.json")
@@ -174,6 +173,71 @@ def test_scipy_loads_only_for_a_lyapunov_solve(tmp_path):
     run = subprocess.run([sys.executable, "-W", "error", "-c", SCIPY_ON_DEMAND, EXAMPLE,
                           str(tmp_path)], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def mixed_doc_obj():
+    """A seeded random tree plus 24 extra lines on 120 buses, 20 of them DC or
+    IDROOP generators with noise and the rest load buses."""
+    rng = np.random.default_rng(11)
+    n, n_gen = 120, 20
+    gens = set(rng.choice(n, size=n_gen, replace=False).tolist())
+    pairs = {(int(rng.integers(i)), i) for i in range(1, n)}
+    extra = rng.integers(n, size=(n // 5, 2)).tolist()
+    pairs |= {(min(i, j), max(i, j)) for i, j in extra if i != j}
+    buses = [{"id": i, "kind": "generator", "inertia": float(rng.uniform(0.5, 5.0)),
+              "damping": float(rng.uniform(0.05, 0.5)),
+              "governor_droop": float(rng.uniform(10.0, 30.0)),
+              "injection": float(rng.uniform(-1.0, 1.0))} if i in gens
+             else {"id": i, "kind": "load", "injection": float(rng.uniform(-1.0, 0.0))}
+             for i in range(n)]
+    inverters = [{"bus": i, "mode": "DC", "r_r": float(rng.uniform(10.0, 30.0))} if i % 2
+                 else {"bus": i, "mode": "IDROOP", "r_r": float(rng.uniform(10.0, 30.0)),
+                       "delta": float(rng.uniform(2.0, 10.0)), "nu": float(rng.uniform(0.1, 2.0))}
+                 for i in sorted(gens)]
+    return {"schema_version": "1", "buses": buses,
+            "lines": [{"from": i, "to": j, "susceptance": float(rng.uniform(1.0, 10.0))}
+                      for i, j in sorted(pairs)],
+            "inverters": inverters,
+            "noise": [{"bus": i, "k1": 0.1, "k2": 5.0, "k3": 5.0} for i in sorted(gens)]}
+
+
+# Prints the h2 value and the sweep metrics of one document as one JSON list.
+H2_AND_SWEEP = """
+import contextlib, io, json, sys
+from gridfreq.cli import main
+
+network, spec, out = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()) as h2:
+    assert main(["h2", "--network", network]) == 0
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["sweep", "--network", network, "--sweep", spec, "--out", out]) == 0
+rows = open(out + "/sweep.csv").read().splitlines()[1:]
+print(json.dumps([json.loads(h2.getvalue())["value"]] + [float(r.split(",")[-1]) for r in rows]))
+"""
+
+
+def test_outputs_agree_across_blas_thread_counts(tmp_path):
+    # Kron reduction and the Schur solves round differently at other BLAS
+    # thread counts, so only agreement to rounding is promised across them.
+    network, spec = tmp_path / "net.json", tmp_path / "sweep.json"
+    network.write_text(json.dumps(mixed_doc_obj()))
+    spec.write_text(json.dumps({"axes": [{"name": "delta", "min": 2.0, "max": 8.0, "count": 2}],
+                                "metric": "h2"}))
+    src = str(Path(gridfreq.__file__).parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        runs.append(subprocess.Popen(
+            [sys.executable, "-c", H2_AND_SWEEP, str(network), str(spec), str(tmp_path / threads)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    outputs = [run.communicate() for run in runs]
+    for run, (_, stderr) in zip(runs, outputs):
+        assert run.returncode == 0, stderr
+    one, two = (np.array(json.loads(stdout)) for stdout, _ in outputs)
+    assert one.shape == (3,) and np.all(np.isfinite(one))
+    np.testing.assert_allclose(two, one, rtol=1e-10, atol=0.0)
 
 
 class TestCli:

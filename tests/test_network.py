@@ -9,11 +9,11 @@ from gridfreq import (
     build_laplacian,
     kron_reduce,
     kron_reduce_network,
-    laplacian_violations,
     validate_network,
 )
 from gridfreq.network import _components
 from conftest import random_connected_network
+from oracles import laplacian_violations
 import oracles
 
 

@@ -15,13 +15,13 @@ from gridfreq import (
     assemble_closed_loop,
     compute_metrics,
     h2_closed_form,
-    lyapunov_diagnostics,
     simulate_deterministic,
     simulate_stochastic,
     steady_state,
     uniform_fleet,
 )
 from conftest import high_noise, random_connected_network, ten_bus_network
+from oracles import lyapunov_diagnostics
 import oracles
 
 STEP = (Disturbance(time=1.0, bus=9, delta_p=-0.5),)
