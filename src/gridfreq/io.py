@@ -210,7 +210,7 @@ def parse_sweep_spec(obj: dict) -> SweepSpec:
 def _read_json(path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer past int's digit limit
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -5,9 +5,10 @@ Kronecker solve.  The H2 references are meant for small systems (up to
 about 30 states): the Kronecker solve builds a dense d^2 x d^2 system, and
 the quadrature solves one d x d complex system per grid frequency.  The
 reference march is the per-step time-domain loop that gridfreq's
-precomputed-drive march replaced.  The sweep route evaluates an h2 sweep
-one point at a time through the public per-model functions, as sweeps ran
-before they were stacked.  The component finder is a plain breadth-first
+precomputed-drive march replaced.  The sweep route evaluates a sweep one
+point at a time through the public per-model functions, as sweeps ran
+before they were stacked and before repeated points shared one
+evaluation.  The component finder is a plain breadth-first
 search over adjacency sets.
 
 The rest are written out here because no command or library path needs
@@ -37,7 +38,9 @@ from gridfreq import (
     SimulationDiverged,
     ValidationError,
     assemble_closed_loop,
+    compute_metrics,
     h2_frequency_weighted,
+    simulate_deterministic,
 )
 from gridfreq.sim import _rk4_propagators
 
@@ -99,18 +102,22 @@ def quadrature_h2(a, b_eff, c):
     return float(body + values[0] * omegas[0] + values[-1] * omegas[-1]) / np.pi
 
 
-def sweep_point_route(network, configs, noise, spec):
-    """The rows of an h2 sweep, one point at a time: each point's values go
-    on every config that carries the parameter, and the point's own model is
-    assembled and solved."""
+def sweep_point_route(network, configs, noise, spec, sim_config=None):
+    """The rows of a sweep, one point at a time: each point's values go on
+    every config that carries the parameter, and the point's own model is
+    assembled and solved (h2) or simulated under ``sim_config`` (nadir)."""
     rows = []
     for point in product(*(axis.values() for axis in spec.axes)):
         swept = [replace(c, **{axis.name: float(value) for axis, value in zip(spec.axes, point)
                                if getattr(c, axis.name) is not None})
                  for c in configs]
-        result = h2_frequency_weighted(assemble_closed_loop(network, swept, noise))
-        rows.append((float(point[0]), float(point[1]) if len(point) == 2 else None,
-                     result.value if result.is_finite else float("inf")))
+        model = assemble_closed_loop(network, swept, noise)
+        if spec.metric == "nadir":
+            value = compute_metrics(simulate_deterministic(model, sim_config)).nadir
+        else:
+            result = h2_frequency_weighted(model)
+            value = result.value if result.is_finite else float("inf")
+        rows.append((float(point[0]), float(point[1]) if len(point) == 2 else None, value))
     return rows
 
 

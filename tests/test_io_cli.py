@@ -2,7 +2,9 @@ import json
 import os
 import subprocess
 import sys
+from functools import reduce
 from importlib import resources
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
@@ -517,6 +519,12 @@ SWEEP_SPEC_ERRORS = {
     "root-list": ([_axis()], "sweep spec root must be an object"),
     "axis-number": ({"axes": [_axis(), 5], "metric": "h2"}, "axes[1]: must be an object"),
     "axes-object": ({"axes": _axis(), "metric": "h2"}, "axes: must be a list"),
+    "axis-repeated": ({"axes": [_axis(name="delta"), _axis(name="delta", min=8.0)],
+                       "metric": "h2"}, "axes[1].name: 'delta' is already swept by axes[0]"),
+    "count-1e20": ({"axes": [_axis(count=10**20)], "metric": "h2"},
+                   "axes: 1e+20 grid points need 5.12e+22 bytes of point bookkeeping"),
+    "spacing-overflow": ({"axes": [_axis(min=-1.7e308, max=1.7e308)], "metric": "h2"},
+                         "axes[0]: linear spacing from -1.7e+308 to 1.7e+308 overflows"),
 }
 
 # The step counts of the last three need more memory than any machine has;
@@ -661,6 +669,15 @@ class TestSchemaErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: not valid JSON") and "Traceback" not in err
 
+    def test_integer_past_the_digit_limit_names_the_path(self, capsys, tmp_path):
+        """Python's int conversion refuses more than 4300 digits."""
+        path = tmp_path / "sweep.json"
+        path.write_text('{"metric": "h2", "axes": ' + "1" * 5000 + "}")
+        assert main(["sweep", "--network", EXAMPLE, "--sweep", str(path),
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not valid JSON (Exceeds the limit")
+
     @settings(max_examples=100, deadline=None, database=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -693,6 +710,24 @@ def _reject_constant(name):
 TWO_AXIS_SPEC = {"axes": [{"name": "delta", "min": 1.0, "max": 6.0, "count": 2},
                           {"name": "nu", "min": 0.1, "max": 1.0, "count": 2, "spacing": "log"}],
                  "metric": "h2"}
+
+# The sweep-spec fuzz test deletes a field, or replaces it with a value of
+# its own JSON type or with any JSON value.  Integers are small or at least
+# 10**19, so no example starts a long sweep, yet counts past physical
+# memory come up.  The strategies are built once: building them in the
+# test would validate them again for every example.
+SPEC_INTEGERS = st.integers(max_value=6) | st.integers(min_value=10**19)
+SPEC_WORDS = st.sampled_from(["delta", "nu", "r_r", "m_v", "h2", "nadir", "linear", "log"])
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), SPEC_INTEGERS, st.floats(), st.text(max_size=6),
+              SPEC_WORDS),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(
+        st.sampled_from(["axes", "name", "min", "max", "count", "spacing", "metric"]), children,
+        max_size=3),
+    max_leaves=4)
+ANY_REPLACEMENT = st.just(DELETE) | JSON_VALUES
+SPEC_REPLACEMENTS = {kind: st.just(DELETE) | like | JSON_VALUES for kind, like in
+                     ((int, SPEC_INTEGERS), (float, st.floats()), (str, SPEC_WORDS))}
 
 
 class TestSweepCommand:
@@ -731,13 +766,9 @@ class TestSweepCommand:
     @given(data=st.data())
     def test_mutated_sweep_spec_never_raises(self, capsys, tmp_path, data):
         spec = json.loads(json.dumps(TWO_AXIS_SPEC))
-        replacement = st.one_of(
-            st.just(DELETE), st.text(max_size=6), st.none(), st.booleans(),
-            st.integers(-3, 6), st.floats(),
-            st.sampled_from(["delta", "nu", "r_r", "m_v", "h2", "nadir", "linear", "log"]),
-            st.lists(st.integers(), max_size=2),
-            st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
-        _edit(spec, data.draw(st.sampled_from(_json_paths(spec))), data.draw(replacement))
+        path = data.draw(st.sampled_from(_json_paths(spec)))
+        replacement = SPEC_REPLACEMENTS.get(type(reduce(getitem, path, spec)), ANY_REPLACEMENT)
+        _edit(spec, path, data.draw(replacement))
         for network in (EXAMPLE, EXAMPLE_VI):
             code = self.run(tmp_path, network, spec, "--horizon", "1")
             captured = capsys.readouterr()

@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -49,6 +50,25 @@ class TestSimConfig:
         for dt, horizon in [(np.nan, 1.0), (np.inf, np.inf), (0.01, np.inf), (0.01, np.nan)]:
             with pytest.raises(ValidationError, match="must be finite"):
                 SimConfig(dt=dt, horizon=horizon)
+
+    @pytest.mark.parametrize("noise", [False, True], ids=["deterministic", "stochastic"])
+    def test_memory_bound_counts_the_run_s_peak(self, monkeypatch, ten_bus, idroop_fleet, noise):
+        """1000 steps of 30 states and 10 buses hold 0.24 MB of states but
+        0.8 MB at their peak; a machine with memory in between rejects the
+        run, and one with the full need runs it."""
+        model = assemble_closed_loop(ten_bus, idroop_fleet)
+        config = SimConfig(dt=0.01, horizon=10.0, seed=1 if noise else None, noise_enabled=noise)
+        simulate = simulate_stochastic if noise else simulate_deterministic
+        need = 1001 * (2 * 30 + 4 * 10) * 8
+        pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 40_000}
+        assert 1001 * 30 * 8 < 8 * 40_000 < need
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        with pytest.raises(ValidationError, match=r"^1e\+03 steps \(horizon / dt\) need 8\.01e\+05 "
+                                                  r"bytes at the run's peak, more than the "
+                                                  r"3\.2e\+05 bytes of physical memory$"):
+            simulate(model, config)
+        pages["SC_PHYS_PAGES"] = need // 8
+        assert simulate(model, config).states.shape == (1001, 30)
 
 
 class TestDeterministic:

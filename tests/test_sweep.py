@@ -1,5 +1,7 @@
-"""The stacked h2 sweep against the one-point-at-a-time route of tests/oracles.py."""
+"""The stacked h2 sweep and the nadir sweep against the one-point-at-a-time
+route of tests/oracles.py."""
 
+import os
 from importlib import resources
 from math import ceil
 
@@ -158,3 +160,105 @@ def test_failure_after_infinite_points_names_its_grid_point():
                      metric="h2")
     with pytest.raises(NumericalError, match=r"^sweep point 3 \(m_v=0\.0, r_r=1e-300\): "):
         run_sweep(network, configs, noise, spec)
+
+
+STEP = SimConfig(dt=0.01, horizon=5.0, disturbances=(Disturbance(1.0, 7, -0.5),))
+DELTA_NU = SweepSpec(axes=(SweepAxis("delta", 1.0, 8.0, 6), SweepAxis("nu", 0.1, 1.5, 6, "log")),
+                     metric="h2")
+
+
+def counting(monkeypatch, name):
+    """Replace gridfreq.sweep's ``name`` with a wrapper that records each
+    call's first argument, and return that record."""
+    calls = []
+    original = getattr(gridfreq.sweep, name)
+    monkeypatch.setattr(gridfreq.sweep, name,
+                        lambda first, *args: calls.append(first) or original(first, *args))
+    return calls
+
+
+def test_droop_fleet_delta_nu_grid_is_one_h2_solve(monkeypatch):
+    """No DC config carries delta or nu, so all 36 points are one closed loop."""
+    network, configs, noise = bundled("example-10bus-dc.json")
+    calls = counting(monkeypatch, "_h2")
+    rows = run_sweep(network, configs, noise, DELTA_NU)
+    assert [len(a) for a in calls] == [1]
+    assert rows == oracles.sweep_point_route(network, configs, noise, DELTA_NU)
+
+
+def test_droop_fleet_delta_nu_nadir_grid_is_one_simulation(monkeypatch):
+    network, configs, noise = bundled("example-10bus-dc.json")
+    spec = SweepSpec(axes=DELTA_NU.axes, metric="nadir")
+    calls = counting(monkeypatch, "simulate_deterministic")
+    rows = run_sweep(network, configs, noise, spec, STEP)
+    assert len(calls) == 1
+    assert rows == oracles.sweep_point_route(network, configs, noise, spec, STEP)
+
+
+@pytest.mark.parametrize("fleet,names,distinct", [
+    ("bundled-DC", ("r_r", "nu"), 4), ("bundled-VI", ("delta", "m_v"), 3),
+    ("bundled-IDROOP", ("m_v", "nu"), 3), ("mixed", ("delta", "nu"), 12),
+])
+def test_nadir_sweep_equals_the_point_route_bitwise(monkeypatch, fleet, names, distinct):
+    network, configs, noise = {**FLEETS, "bundled-DC": lambda: bundled("example-10bus-dc.json")}[
+        fleet]()
+    spec = spec_of(*names, metric="nadir")
+    calls = counting(monkeypatch, "simulate_deterministic")
+    rows = run_sweep(network, configs, noise, spec, STEP)
+    assert len(calls) == distinct
+    assert rows == oracles.sweep_point_route(network, configs, noise, spec, STEP)
+
+
+@pytest.mark.parametrize("metric", ["h2", "nadir"])
+@pytest.mark.parametrize("axes,message", [
+    ((SweepAxis("delta", 1.0, 2.0, 3), SweepAxis("r_r", 15.0, 1e-300, 2)),
+     r"^sweep point 1 \(delta=1\.0, r_r=1e-300\): "),
+    ((SweepAxis("r_r", 15.0, 1e-300, 2), SweepAxis("delta", 1.0, 2.0, 3)),
+     r"^sweep point 3 \(r_r=1e-300, delta=1\.0\): "),
+], ids=["delta-major", "r_r-major"])
+def test_failure_on_a_repeated_point_names_its_first_occurrence(metric, axes, message):
+    """delta is not carried, so the grid has two distinct points, and the
+    failing one first occurs where a walk in grid order meets it."""
+    network, configs, noise = bundled("example-10bus-dc.json")
+    with pytest.raises(NumericalError, match=message):
+        run_sweep(network, configs, noise, SweepSpec(axes=axes, metric=metric), STEP)
+
+
+def test_a_parameter_swept_on_both_axes_is_rejected():
+    with pytest.raises(ValidationError,
+                       match=r"^axes\[1\]\.name: 'delta' is already swept by axes\[0\]$"):
+        SweepSpec(axes=(AXES["delta"], SweepAxis("delta", 2.0, 3.0, 2)), metric="h2")
+
+
+@pytest.mark.parametrize("counts,message", [
+    ((10**20,), "axes: 1e+20 grid points need 5.12e+22 bytes of point bookkeeping"),
+    ((10**200, 10**200), "axes: inf grid points need inf bytes of point bookkeeping"),
+])
+def test_grid_past_physical_memory_is_rejected_before_it_is_built(counts, message):
+    network, configs, noise = mixed_fleet()
+    spec = SweepSpec(axes=tuple(SweepAxis(name, 1.0, 2.0, count)
+                                for name, count in zip(("delta", "nu"), counts)), metric="h2")
+    with pytest.raises(ValidationError) as raised:
+        run_sweep(network, configs, noise, spec)
+    assert str(raised.value).startswith(message)
+
+
+def test_grid_bound_reads_physical_memory(monkeypatch):
+    """36 points need 36 * POINT_BYTES bytes: one byte less is rejected."""
+    network, configs, noise = bundled("example-10bus-dc.json")
+    need = 36 * gridfreq.sweep.POINT_BYTES
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    with pytest.raises(ValidationError, match=r"^axes: 36 grid points need 1\.84e\+04 bytes"):
+        run_sweep(network, configs, noise, DELTA_NU)
+    pages["SC_PHYS_PAGES"] = need
+    assert len(run_sweep(network, configs, noise, DELTA_NU)) == 36
+
+
+def test_log_axis_at_the_float_range_edge_keeps_its_exact_bounds():
+    """geomspace overflows while spacing these bounds, then sets them exactly;
+    under the suite's warnings-as-errors the overflow would fail the test."""
+    network, configs, noise = bundled("example-10bus-dc.json")
+    spec = SweepSpec(axes=(SweepAxis("nu", 1.7976931348622103e308, 1.0, 2, "log"),), metric="h2")
+    rows = run_sweep(network, configs, noise, spec)
+    assert [row[0] for row in rows] == [1.7976931348622103e308, 1.0]
