@@ -373,7 +373,8 @@ def optimal_allocation(delta_p: float, alpha_g, alpha_r) -> OptimalAllocation:
     lam = delta_p / total_inverse
     dq_g = lam / alpha_g
     dq_r = lam / alpha_r
-    cost = float(0.5 * (alpha_g @ dq_g**2) + 0.5 * (alpha_r @ dq_r**2))
+    with np.errstate(over="ignore"):  # a huge imbalance costs inf; no command prints it
+        cost = float(0.5 * (alpha_g @ dq_g**2) + 0.5 * (alpha_r @ dq_r**2))
     return OptimalAllocation(delta_q_g=dq_g, delta_q_r=dq_r, lambda_star=float(lam), ss_cost=cost)
 
 

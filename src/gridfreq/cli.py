@@ -1,7 +1,10 @@
 """Command-line driver: file ingestion, dispatch, machine-readable output.
 
-Every command reads a network document (JSON), prints a JSON summary to
-stdout, and optionally writes CSV/JSON artifacts under --out.  Exit codes:
+Every command reads a network document (JSON), prints JSON to stdout, and
+optionally writes CSV/JSON artifacts under --out.  steady-state, stability
+and simulate print the library's result records (SteadyState,
+OptimalityReport, StabilityCondition, Metrics) field for field, in their
+declared order, so the records alone define those outputs.  Exit codes:
 0 success, 1 validation failure (including bad flags), 2 numerical failure.
 """
 
@@ -12,6 +15,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,8 +60,13 @@ def _finite_or_null(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
+def _emit(obj, path: Path | None = None) -> None:
+    """Print obj as JSON, and write it to path too when one is given.  A
+    result record serialises as its fields, an array as a list."""
+    text = json.dumps(obj, indent=2, default=lambda v: asdict(v) if is_dataclass(v) else v.tolist())
+    if path is not None:
+        path.write_text(text + "\n")
+    print(text)
 
 
 @contextmanager
@@ -71,25 +80,9 @@ def _document_bus_ids(system):
 
 def _steady_state_cmd(args, system) -> int:
     ss = steady_state(system.network, system.configs)
-    report = verify_steady_state_optimality(system.network, system.configs)
-    _emit(
-        {
-            "omega0": ss.omega0,
-            "theta_star": ss.theta_star.tolist(),
-            "q_r_star": ss.q_r_star.tolist(),
-            "x_star": ss.x_star.tolist(),
-            "delta_q_g_star": ss.delta_q_g_star.tolist(),
-            "delta_q_r_star": ss.delta_q_r_star.tolist(),
-            "optimality": {
-                "passed": report.passed,
-                "lambda_star": report.lambda_star,
-                "delta_p": report.delta_p,
-                "max_gap_g": report.max_gap_g,
-                "max_gap_r": report.max_gap_r,
-                "note": report.note,
-            },
-        }
-    )
+    report = asdict(verify_steady_state_optimality(system.network, system.configs))
+    del report["omega0"]  # the steady state's own, printed first
+    _emit({**asdict(ss), "optimality": report})
     return EXIT_OK
 
 
@@ -140,14 +133,7 @@ def _simulate_cmd(args, system) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_trajectory_csv(out_dir / TRAJECTORY_CSV, trajectory, system.bus_ids)
-    summary = {
-        "nadir": metrics.nadir,
-        "settling_frequency": metrics.settling_frequency,
-        "peak_inverter_power": metrics.peak_inverter_power,
-        "empirical_output_variance": metrics.empirical_output_variance,
-    }
-    (out_dir / METRICS_JSON).write_text(json.dumps(summary, indent=2) + "\n")
-    _emit(summary)
+    _emit(metrics, out_dir / METRICS_JSON)
     return EXIT_OK
 
 
@@ -177,23 +163,8 @@ def _h2_cmd(args, system) -> int:
 def _stability_cmd(args, system) -> int:
     certificate = check_decentralized_stability(system.configs, system.network.buses)
     bus_ids = system.bus_ids
-    _emit(
-        {
-            "passed": certificate.passed,
-            "conditions": [
-                {
-                    "bus": bus_ids[c.bus],
-                    "applies": c.applies,
-                    "condition1": c.condition1,
-                    "condition2": c.condition2,
-                    "t_value": c.t_value,
-                    "passed": c.passed,
-                    "note": c.note,
-                }
-                for c in certificate.conditions
-            ],
-        }
-    )
+    _emit({"passed": certificate.passed,
+           "conditions": [replace(c, bus=bus_ids[c.bus]) for c in certificate.conditions]})
     return EXIT_OK
 
 

@@ -58,6 +58,10 @@ class InverterConfig:
     def __post_init__(self):
         object.__setattr__(self, "mode", InverterMode(self.mode))
         mode = self.mode
+        for name in ("q0", "r_r", "m_v", "delta", "nu"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{mode.value} inverter {name} must be finite, got {value}")
         if mode in (InverterMode.DC, InverterMode.VI, InverterMode.IDROOP):
             if self.r_r is None or self.r_r <= 0:
                 raise ValidationError(f"{mode.value} inverter requires r_r > 0")
@@ -101,15 +105,17 @@ class InverterConfig:
 @dataclass(frozen=True)
 class NoiseGains:
     """Per-bus noise intensities: k1 injection, k2 frequency measurement,
-    k3 frequency-derivative measurement (all >= 0)."""
+    k3 frequency-derivative measurement (all finite and >= 0)."""
 
     k1: float = 0.0
     k2: float = 0.0
     k3: float = 0.0
 
     def __post_init__(self):
-        if self.k1 < 0 or self.k2 < 0 or self.k3 < 0:
-            raise ValidationError("noise gains must be >= 0")
+        for name in ("k1", "k2", "k3"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValidationError(f"noise gain {name} must be finite and >= 0, got {value}")
 
 
 def uniform_fleet(n: int, mode, **params) -> list[InverterConfig]:

@@ -14,13 +14,14 @@ only when something reads it, so an H2 evaluation never does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .control import InverterConfig, InverterMode, NoiseGains
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .network import PowerNetwork
 
 __all__ = [
@@ -133,28 +134,40 @@ def sync_frequency(network: PowerNetwork, configs) -> float:
     Equals the net injection (including inverter setpoints) divided by the
     total frequency response: load damping, governor droops, and the droop
     slopes of every frequency-responsive inverter (DC, VI and IDROOP alike;
-    the dynamic droop settles to the same slope as the static one).
+    the dynamic droop settles to the same slope as the static one).  Either
+    sum leaving the float range is a ValidationError.
     """
     _, d, rg_inv = _fleet_arrays(network, configs)
-    numerator = float(network.injections().sum() + sum(c.q0 for c in configs))
-    denominator = float((d + rg_inv).sum())
+    with np.errstate(over="ignore"):  # a sum past the float range is named below
+        numerator = float(network.injections().sum() + sum(c.q0 for c in configs))
+        denominator = float((d + rg_inv).sum())
     denominator += sum(1.0 / c.r_r for c in configs if c.droop_active)
+    if not math.isfinite(numerator):
+        raise ValidationError("bus injections and inverter setpoints q0 sum to a non-finite "
+                              "net injection")
+    if not math.isfinite(denominator):
+        raise ValidationError("damping and droop slopes sum to a non-finite total damping")
     if denominator <= 0.0:
         raise ValidationError("zero total damping: no frequency-responsive element")
     return numerator / denominator
 
 
 def steady_state(network: PowerNetwork, configs) -> SteadyState:
-    """Full synchronous steady state (frequency, angles, inverter outputs)."""
+    """Full synchronous steady state (frequency, angles, inverter outputs).
+    Angles past the float range, from injections too large for the lines that
+    carry them, are a NumericalError."""
     m, d, rg_inv = _fleet_arrays(network, configs)
     omega0 = sync_frequency(network, configs)
     rr_inv = np.array([1.0 / c.r_r if c.droop_active else 0.0 for c in configs])
     q0 = np.array([c.q0 for c in configs])
 
     q_r_star = q0 - rr_inv * omega0
-    rhs = network.injections() + q_r_star - (d + rg_inv) * omega0
-    theta, *_ = np.linalg.lstsq(network.laplacian, rhs, rcond=None)
-    theta = theta - theta[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite angles are named below
+        rhs = network.injections() + q_r_star - (d + rg_inv) * omega0
+        theta, *_ = np.linalg.lstsq(network.laplacian, rhs, rcond=None)
+        theta = theta - theta[0]
+    if not np.isfinite(theta).all():
+        raise NumericalError("steady-state angles are not finite")
 
     x_star = np.array(
         [-omega0 / c.r_r for c in configs if c.mode is InverterMode.IDROOP]

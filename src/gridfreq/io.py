@@ -121,7 +121,7 @@ def parse_document(obj: dict) -> NetworkDocument:
     buses = [
         Bus(
             id=_field(entry, "id", where, _integer),
-            kind=entry.get("kind", "generator"),
+            kind=_field(entry, "kind", where, lambda value, _: value, "generator"),
             inertia=_field(entry, "inertia", where, _finite, None),
             damping=_field(entry, "damping", where, _finite, 0.0),
             governor_droop=_field(entry, "governor_droop", where, _finite, None),

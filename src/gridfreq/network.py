@@ -164,8 +164,10 @@ def validate_network(network: PowerNetwork) -> list[str]:
     for bus in network.buses:
         if bus.kind not in (GENERATOR, LOAD):
             violations.append(f"bus {bus.id}: unknown kind {bus.kind!r}")
-        if bus.damping < 0:
-            violations.append(f"bus {bus.id}: damping must be >= 0, got {bus.damping}")
+        if not 0 <= bus.damping < math.inf:
+            violations.append(f"bus {bus.id}: damping must be finite and >= 0, got {bus.damping}")
+        if not math.isfinite(bus.injection):
+            violations.append(f"bus {bus.id}: injection must be finite, got {bus.injection}")
         if bus.is_generator:
             for label, value in (("inertia", bus.inertia), ("governor droop", bus.governor_droop)):
                 if value is None or value <= 0:
@@ -193,7 +195,7 @@ def validate_network(network: PowerNetwork) -> list[str]:
         if pair in seen_pairs:
             violations.append(f"{name}: duplicate (parallel lines are not merged)")
         seen_pairs.add(pair)
-        if line.susceptance <= 0:
+        if not line.susceptance > 0:  # NaN included
             violations.append(f"{name}: susceptance must be > 0, got {line.susceptance}")
         adjacency[line.from_bus, line.to_bus] = adjacency[line.to_bus, line.from_bus] = True
 

@@ -117,11 +117,13 @@ def _check_values(configs, axes, grids) -> None:
     point-by-point walk would raise.
     """
     distinct = list(dict.fromkeys(configs))
-    for index in np.ndindex(*(grid.size for grid in grids)):
-        if np.count_nonzero(index) <= 1:
-            point = [grid[i] for grid, i in zip(grids, index)]
-            for config in distinct:
-                _swept(config, axes, point)
+    head = [grid[0] for grid in grids]
+    points = [[*head[:-1], value] for value in grids[-1]]  # the first row
+    if len(grids) == 2:
+        points += [[value, head[1]] for value in grids[0][1:]]  # the rest of the first column
+    for point in points:
+        for config in distinct:
+            _swept(config, axes, point)
 
 
 def _named(error: NumericalError, index: int, axes, points) -> NumericalError:

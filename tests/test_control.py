@@ -15,6 +15,8 @@ from gridfreq.dynamics import assemble_closed_loop
 from conftest import path_network, random_connected_network
 from oracles import idroop_step, inverter_power, lyapunov_diagnostics
 
+NAN = float("nan")
+
 
 class TestInverterConfig:
     def test_mode_specific_parameters_enforced(self):
@@ -30,6 +32,24 @@ class TestInverterConfig:
     def test_noise_gains_nonnegative(self):
         with pytest.raises(ValidationError):
             NoiseGains(k2=-1.0)
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: InverterConfig.droop(q0=NAN), "DC inverter q0 must be finite, got nan"),
+        (lambda: InverterConfig.droop(r_r=NAN), "DC inverter r_r must be finite, got nan"),
+        (lambda: InverterConfig.virtual_inertia(m_v=NAN),
+         "VI inverter m_v must be finite, got nan"),
+        (lambda: InverterConfig.idroop(delta=NAN), "IDROOP inverter delta must be finite, got nan"),
+        (lambda: InverterConfig.idroop(nu=NAN), "IDROOP inverter nu must be finite, got nan"),
+        (lambda: InverterConfig.idroop(nu=float("inf")),
+         "IDROOP inverter nu must be finite, got inf"),
+        (lambda: NoiseGains(k1=NAN), "noise gain k1 must be finite and >= 0, got nan"),
+        (lambda: NoiseGains(k2=NAN), "noise gain k2 must be finite and >= 0, got nan"),
+        (lambda: NoiseGains(k3=float("inf")), "noise gain k3 must be finite and >= 0, got inf"),
+    ], ids=["q0", "r_r", "m_v", "delta", "nu", "nu-inf", "k1", "k2", "k3-inf"])
+    def test_non_finite_parameters_named(self, build, message):
+        with pytest.raises(ValidationError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
 
 
 class TestInverterPower:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from functools import reduce
 from importlib import resources
 from operator import getitem
@@ -326,6 +327,42 @@ class TestCli:
             lines.append(",".join(repr(float(v)) for v in values))
         assert path.read_text() == "\n".join(lines) + "\n"
 
+    def test_output_key_order(self, capsys, tmp_path):
+        """The key order of every command's JSON: steady-state, stability and
+        simulate print their result records, so renaming or reordering a
+        record's fields fails here."""
+        def run(*argv):
+            assert main(list(argv)) == 0
+            return json.loads(capsys.readouterr().out)
+
+        out = run("steady-state", "--network", EXAMPLE)
+        assert list(out) == ["omega0", "theta_star", "q_r_star", "x_star", "delta_q_g_star",
+                             "delta_q_r_star", "optimality"]
+        assert list(out["optimality"]) == ["passed", "lambda_star", "delta_p", "max_gap_g",
+                                           "max_gap_r", "note"]
+        out = run("stability", "--network", EXAMPLE)
+        assert list(out) == ["passed", "conditions"]
+        assert list(out["conditions"][0]) == ["bus", "applies", "condition1", "condition2",
+                                              "t_value", "passed", "note"]
+        out = run("simulate", "--network", EXAMPLE, "--horizon", "2", "--out", str(tmp_path))
+        metrics = ["nadir", "settling_frequency", "peak_inverter_power",
+                   "empirical_output_variance"]
+        assert list(out) == metrics
+        assert list(json.loads((tmp_path / "metrics.json").read_text())) == metrics
+        assert list(run("h2", "--network", EXAMPLE_DC, "--closed-form")) == [
+            "kind", "method", "value", "closed_form", "closed_form_relative_gap"]
+        assert list(run("h2", "--network", EXAMPLE_VI)) == ["kind", "method", "feedthrough_gain"]
+        out = run("modal", "--network", EXAMPLE_DC)
+        assert list(out) == ["eigenvalues", "mode_norms", "sum_of_modes", "full_model"]
+        assert list(out["mode_norms"][0]) == ["eigenvalue", "kind", "value"]
+        assert list(out["full_model"]) == ["kind", "value"]
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"axes": [{"name": "nu", "min": 0.5, "max": 1.0, "count": 2}],
+                                    "metric": "h2"}))
+        out = run("sweep", "--network", EXAMPLE, "--sweep", str(spec), "--out", str(tmp_path))
+        assert list(out) == ["axes", "metric", "points", "min", "max", "csv"]
+        assert list(out["axes"][0]) == ["name", "min", "max", "count", "spacing"]
+
     def test_stochastic_requires_seed(self, capsys):
         assert main(["simulate", "--network", EXAMPLE, "--stochastic"]) == 1
 
@@ -542,10 +579,12 @@ BAD_STEP_FLAGS = {
 }
 
 # Numbers that pass the finite check of their field but overflow the model:
-# a reciprocal (1/m, 1/r_g, 1/r_r), a Laplacian row sum, or the swing row
-# b/m of A.  Each gets a named error instead of NaN output or a raw
-# traceback from inside numpy.
+# a reciprocal (1/m, 1/r_g, 1/r_r), a Laplacian row sum, the swing row b/m
+# of A, the sums of injections, setpoints or damping that fix the
+# synchronous frequency, or the steady-state angles.  Each gets a named
+# error instead of NaN output or a raw traceback from inside numpy.
 TINY = 1e-320
+NET_INJECTION = "bus injections and inverter setpoints q0 sum to a non-finite net injection"
 OVERFLOWS = {
     "h2-inertia": ("h2", {("buses", 0, "inertia"): TINY},
                    "generator bus 0: inertia 1e-320 has no finite inverse"),
@@ -561,6 +600,19 @@ OVERFLOWS = {
     "steady-state-laplacian": ("steady-state", {("lines", 0, "susceptance"): 1e308,
                                                 ("lines", 1, "susceptance"): 1e308},
                                "bus 1: susceptances sum to a non-finite Laplacian entry"),
+    "steady-state-injection-sum": ("steady-state", {("buses", i, "injection"): 1e308
+                                                    for i in (0, 1)}, NET_INJECTION),
+    "steady-state-q0-sum": ("steady-state", {("inverters", i, "q0"): 1e308 for i in (0, 1)},
+                            NET_INJECTION),
+    "simulate-injection-sum": ("simulate --horizon 1", {("buses", i, "injection"): 1e308
+                                                        for i in (0, 1)}, NET_INJECTION),
+    "steady-state-angles": ("steady-state", {("buses", 0, "injection"): 1.7e308,
+                                             ("buses", 5, "injection"): -1.7e308,
+                                             **{("lines", k, "susceptance"): 1e-3
+                                                for k in range(12)}},
+                            "steady-state angles are not finite"),
+    "steady-state-damping-sum": ("steady-state", {("buses", i, "damping"): 1e308 for i in (0, 1)},
+                                 "damping and droop slopes sum to a non-finite total damping"),
     "stability-laplacian": ("stability", {("lines", 0, "susceptance"): 1e308,
                                           ("lines", 1, "susceptance"): 1e308},
                             "bus 1: susceptances sum to a non-finite Laplacian entry"),
@@ -608,6 +660,17 @@ class TestSchemaErrors:
         assert err.startswith("error:") and "Traceback" not in err
         assert message in err
 
+    @pytest.mark.parametrize("field", [("buses", 0, "kind"), ("buses", 0, "damping"),
+                                       ("buses", 0, "injection"), ("inverters", 0, "q0"),
+                                       ("noise", 0, "k2")],
+                             ids=lambda path: ".".join(map(str, path)))
+    def test_null_field_takes_its_default(self, field):
+        obj = minimal_doc_obj()
+        _edit(obj, field, None)
+        with_null = parse_document(obj)
+        _edit(obj, field, DELETE)
+        assert with_null == parse_document(obj)
+
     @pytest.mark.parametrize("spec,message", SWEEP_SPEC_ERRORS.values(),
                              ids=SWEEP_SPEC_ERRORS.keys())
     def test_malformed_sweep_spec_names_the_field(self, capsys, tmp_path, spec, message):
@@ -643,6 +706,19 @@ class TestSchemaErrors:
         assert captured.err.startswith(("error:", "numerical failure:"))
         assert "Traceback" not in captured.err and message in captured.err
         assert "NaN" not in captured.out and "Infinity" not in captured.out
+
+    def test_one_huge_injection_is_a_finite_steady_state(self, capsys, tmp_path):
+        """One 1e308 injection sums within the float range.  Its allocation
+        cost overflows, but no command prints that cost, so it warns nothing."""
+        obj = json.loads(Path(EXAMPLE).read_text())
+        obj["buses"][0]["injection"] = 1e308
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["steady-state", "--network", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert out["omega0"] > 0.0 and out["optimality"]["delta_p"] > 0.0
 
     @pytest.mark.parametrize("command", ["simulate --horizon 2", "sweep --horizon 2"])
     def test_disturbance_overflow_names_the_document_bus(self, capsys, tmp_path, command):
@@ -681,13 +757,12 @@ class TestSchemaErrors:
     @settings(max_examples=100, deadline=None, database=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_mutated_document_never_raises(self, tmp_path, data):
+    def test_mutated_document_never_raises(self, capsys, tmp_path, data):
         obj = json.loads(Path(EXAMPLE).read_text())
-        replacement = st.one_of(
-            st.just(DELETE), st.text(max_size=6), st.none(),
-            st.lists(st.integers(), max_size=2),
-            st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
-        _edit(obj, data.draw(st.sampled_from(_json_paths(obj))), data.draw(replacement))
+        field = data.draw(st.sampled_from(_json_paths(obj)))
+        replacement = DOCUMENT_REPLACEMENTS.get(type(reduce(getitem, field, obj)),
+                                                ANY_DOCUMENT_REPLACEMENT)
+        _edit(obj, field, data.draw(replacement))
         path = tmp_path / "mutated.json"
         path.write_text(json.dumps(obj))
         spec = tmp_path / "sweep.json"
@@ -700,7 +775,12 @@ class TestSchemaErrors:
             ["simulate", "--horizon", "1", "--stochastic", "--seed", "1", *out],
             ["sweep", "--sweep", str(spec), *out],
         ]))
-        assert main([*command, "--network", str(path)]) in (0, 1, 2)
+        code = main([*command, "--network", str(path)])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in captured.err
+        if code == 0:
+            json.loads(captured.out, parse_constant=_reject_constant)
 
 
 def _reject_constant(name):
@@ -711,23 +791,38 @@ TWO_AXIS_SPEC = {"axes": [{"name": "delta", "min": 1.0, "max": 6.0, "count": 2},
                           {"name": "nu", "min": 0.1, "max": 1.0, "count": 2, "spacing": "log"}],
                  "metric": "h2"}
 
-# The sweep-spec fuzz test deletes a field, or replaces it with a value of
-# its own JSON type or with any JSON value.  Integers are small or at least
-# 10**19, so no example starts a long sweep, yet counts past physical
-# memory come up.  The strategies are built once: building them in the
-# test would validate them again for every example.
-SPEC_INTEGERS = st.integers(max_value=6) | st.integers(min_value=10**19)
-SPEC_WORDS = st.sampled_from(["delta", "nu", "r_r", "m_v", "h2", "nadir", "linear", "log"])
-JSON_VALUES = st.recursive(
-    st.one_of(st.none(), st.booleans(), SPEC_INTEGERS, st.floats(), st.text(max_size=6),
-              SPEC_WORDS),
-    lambda children: st.lists(children, max_size=3) | st.dictionaries(
-        st.sampled_from(["axes", "name", "min", "max", "count", "spacing", "metric"]), children,
-        max_size=3),
-    max_leaves=4)
-ANY_REPLACEMENT = st.just(DELETE) | JSON_VALUES
-SPEC_REPLACEMENTS = {kind: st.just(DELETE) | like | JSON_VALUES for kind, like in
-                     ((int, SPEC_INTEGERS), (float, st.floats()), (str, SPEC_WORDS))}
+# The fuzz tests delete a field, or replace it with a value of its own JSON
+# type or with any JSON value.  Integers are small or at least 10**19, so no
+# example starts a long sweep, yet counts past physical memory come up.  The
+# strategies are built once: building them in the test would validate them
+# again for every example.
+FUZZ_INTEGERS = st.integers(max_value=6) | st.integers(min_value=10**19)
+
+
+def _fuzz_replacements(words, keys):
+    """The replacements of a field by its JSON type (int, float or str), and
+    of a field of any other type.  Strings are the schema's words or random
+    text, and object keys the schema's keys."""
+    words = st.sampled_from(words)
+    values = st.recursive(
+        st.one_of(st.none(), st.booleans(), FUZZ_INTEGERS, st.floats(), st.text(max_size=6),
+                  words),
+        lambda children: st.lists(children, max_size=3) | st.dictionaries(
+            st.sampled_from(keys), children, max_size=3),
+        max_leaves=4)
+    typed = {kind: st.just(DELETE) | like | values for kind, like in
+             ((int, FUZZ_INTEGERS), (float, st.floats()), (str, words))}
+    return typed, st.just(DELETE) | values
+
+
+SPEC_REPLACEMENTS, ANY_REPLACEMENT = _fuzz_replacements(
+    ["delta", "nu", "r_r", "m_v", "h2", "nadir", "linear", "log"],
+    ["axes", "name", "min", "max", "count", "spacing", "metric"])
+DOCUMENT_REPLACEMENTS, ANY_DOCUMENT_REPLACEMENT = _fuzz_replacements(
+    ["1", "generator", "load", "CP", "DC", "VI", "IDROOP"],
+    ["id", "kind", "inertia", "damping", "governor_droop", "injection", "from", "to",
+     "susceptance", "bus", "mode", "q0", "r_r", "m_v", "delta", "nu", "k1", "k2", "k3", "time",
+     "delta_p"])
 
 
 class TestSweepCommand:

@@ -166,6 +166,10 @@ class TestValidateNetwork:
         assert len(violations) == 1
         assert "line 0-1" in violations[0] and "susceptance" in violations[0]
 
+    def test_nan_susceptance_cited(self):
+        violations = validate_network(simple_net(2, [Line(0, 1, float("nan"))]))
+        assert violations == ["line 0-1: susceptance must be > 0, got nan"]
+
     def test_two_components_listed(self):
         net = simple_net(4, [Line(0, 1, 1.0), Line(2, 3, 1.0)])
         violations = validate_network(net)
@@ -191,6 +195,16 @@ class TestValidateNetwork:
         assert any("inertia" in v for v in violations)
         assert any("governor droop" in v for v in violations)
         assert any("damping" in v for v in violations)
+
+    @pytest.mark.parametrize("field,value", [("damping", float("nan")), ("damping", float("inf")),
+                                             ("injection", float("nan")),
+                                             ("injection", float("-inf"))])
+    def test_non_finite_bus_numbers_named(self, field, value):
+        net = simple_net(2, [Line(0, 1, 1.0)], **{field: value})
+        violations = validate_network(net)
+        assert f"bus 0: {field} must be finite" in violations[0] and len(violations) == 2
+        with pytest.raises(ValidationError, match=f"bus 1: {field} must be finite"):
+            net.laplacian
 
 
 def random_tree_edges(rng, members):
