@@ -3,21 +3,22 @@
 Deterministic runs integrate the linear deviation dynamics with classical
 fourth-order Runge-Kutta steps; because the system is linear and inputs are
 frozen over each step, the whole update collapses into two precomputed
-matrices, z+ = phi @ z + psi @ u.  The inputs enter as one drive psi @ u
-computed before the march, so each step is z+ = phi @ z + drive[k].  The
-step is taken in place: one BLAS matrix-vector product writes phi @ z into
-the next row of the state array (``phi.dot(z, out=row)``) and drive[k] is
-added into that row, so a step allocates no temporaries and copies nothing.
-It is the same product and the same sum, in the same order, so the states
-are bit for bit those of the plain recurrence.  A run that overflows is
-caught by one scan for non-finite values after the march.
+matrices, z+ = phi @ z + psi @ u.  The state array is allocated first and
+its rows 1.. hold the drive psi @ u[k] until step k writes its state over
+it: phi @ z goes into one small buffer (``phi.dot(z, out=product)``) and is
+added into the row, so a step allocates and copies nothing, and the states
+are bit for bit those of the plain recurrence.  The drive, the noise, the
+scan for non-finite states after the march, the power trace and the metrics
+go in blocks of BLOCK_STEPS rows, so a run holds its states, inputs and
+output traces and no other array of its length.
 
-Stochastic runs add Euler-Maruyama noise increments into the same drive,
-in place: Gaussian increments of variance dt per channel for w1 and w2,
-and the difference quotient of the same w2 path for the derivative channel
-w3 (the only discrete reading consistent with w3 = d/dt w2).  The variance
-injected through w3 grows like 1/dt; that is the mechanism behind the
-unbounded norm of derivative feedback and is deliberately not suppressed.
+Stochastic runs add Euler-Maruyama noise increments into the same drive:
+Gaussian increments of variance dt per channel for w1 and w2 (all of dW1,
+then all of dW2, block by block) and the difference quotient of the same w2
+path for the derivative channel w3 (the only discrete reading consistent
+with w3 = d/dt w2).  The variance injected through w3 grows like 1/dt; that
+is the mechanism behind the unbounded norm of derivative feedback and is
+deliberately not suppressed.
 
 The inverter-power trace is the model's output q_r_dev = power @ z +
 power_injection @ u, so the control laws are encoded in dynamics only.
@@ -43,6 +44,16 @@ __all__ = [
     "simulate_stochastic",
 ]
 
+BLOCK_STEPS = 1024  # rows of a block: its temporaries stay small next to the run's states
+
+
+def _blocks(n_rows: int, start: int = 0):
+    """Row slices of BLOCK_STEPS rows that cover rows start..n_rows-1.  The last
+    one takes the rest, up to BLOCK_STEPS + 1 rows: numpy multiplies a single
+    row by another BLAS routine, which can round differently."""
+    stops = [*range(start + BLOCK_STEPS, n_rows - 1, BLOCK_STEPS), n_rows]
+    return [slice(a, b) for a, b in zip([start, *stops], stops)]
+
 
 @dataclass(frozen=True)
 class Disturbance:
@@ -52,6 +63,12 @@ class Disturbance:
     time: float
     bus: int
     delta_p: float
+
+    def __post_init__(self):
+        if isinstance(self.bus, bool) or not isinstance(self.bus, (int, np.integer)):
+            raise ValidationError(f"disturbance bus must be an integer, got {self.bus!r}")
+        if not np.isfinite(self.delta_p):
+            raise ValidationError(f"disturbance delta_p must be finite, got {self.delta_p}")
 
 
 @dataclass(frozen=True)
@@ -139,10 +156,88 @@ def _input_schedule(config: SimConfig, n_buses: int, times: np.ndarray) -> np.nd
     return u
 
 
-def _extract_trajectory(model: StateSpaceModel, times, states, u) -> Trajectory:
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _step_count(model: StateSpaceModel, config: SimConfig) -> int:
+    """Steps of a run, rejecting runs that need more bytes at their peak than
+    the machine's physical memory before anything run-length is allocated.
+
+    Per step, the peak holds d + 2n + 1 floats: the states, the time, the
+    power trace and the inputs, whose room the dynamic-droop trace takes when
+    the march is done.  One block's temporaries add at most d + 4n floats a
+    row.  For a 500 s stochastic run of the bundled iDroop document that is
+    21.0 MB; tracemalloc read 20.7 MB, against 12 MB of states.
+    """
+    n_steps = config.horizon / config.dt  # a float: inf past the float range
+    d, n = model.n_states, model.n_buses
+    size = ((n_steps + 1) * (d + 2 * n + 1) + (BLOCK_STEPS + 1) * (d + 4 * n)) * 8
+    memory = _physical_memory()
+    if size > memory:
+        raise ValidationError(
+            f"{n_steps:.3g} steps (horizon / dt) need {size:.3g} bytes at the run's peak, "
+            f"more than the {memory:.3g} bytes of physical memory"
+        )
+    return round(n_steps)
+
+
+def _write_noise(model, config, drive) -> None:
+    """Write each step's increment dW1 @ B1' + dW2 @ B2' + (dW3 / dt) @ B3' into
+    drive, block by block, with dW3_k = dW2_k - dW2_{k-1}."""
     n = model.n_buses
+    rng = np.random.default_rng(config.seed)
+    scale = np.sqrt(config.dt)
+    blocks = _blocks(drive.shape[0])
+    for blk in blocks:  # all of dW1 first, then all of dW2, as one draw of each would take them
+        dw1 = rng.standard_normal((blk.stop - blk.start, n)) * scale
+        np.matmul(dw1, model.b_w1.T, out=drive[blk])
+    previous = np.zeros((1, n))
+    for blk in blocks:
+        dw2 = rng.standard_normal((blk.stop - blk.start, n)) * scale
+        dw3 = np.diff(dw2, axis=0, prepend=previous)
+        previous = dw2[-1:]
+        drive[blk] += dw2 @ model.b_w2.T
+        drive[blk] += (dw3 / config.dt) @ model.b_w3.T
+
+
+def _march(model, config, initial_state) -> Trajectory:
+    n_steps = _step_count(model, config)
+    times = np.arange(n_steps + 1) * config.dt
+    n, dim = model.n_buses, model.n_states
+    u = _input_schedule(config, n, times)
+
+    z = np.zeros(dim) if initial_state is None else np.asarray(initial_state, dtype=float).copy()
+    if z.shape != (dim,) or not np.all(np.isfinite(z)):
+        raise ValidationError(f"initial state must be a finite vector of shape ({dim},)")
+    states = np.empty((n_steps + 1, dim))
+    states[0] = z
+    drive = states[1:]  # each row holds its step's drive until the step writes the state there
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi, psi = _rk4_propagators(model.a, model.injection, config.dt)
+        if config.noise_enabled:
+            _write_noise(model, config, drive)
+        for blk in _blocks(n_steps):
+            if config.noise_enabled:
+                drive[blk] += u[blk] @ psi.T
+            else:
+                np.matmul(u[blk], psi.T, out=drive[blk])
+        product = np.empty(dim)
+        for row in drive:
+            phi.dot(z, out=product)
+            np.add(product, row, out=row)
+            z = row
+        q_r = np.empty((n_steps + 1, n))
+        for blk in _blocks(n_steps + 1):
+            finite = np.isfinite(states[blk]).all(axis=1)
+            if not finite.all():
+                k = blk.start + int(finite.argmin())  # first non-finite sample; k >= 1
+                raise SimulationDiverged(
+                    f"simulation diverged at t={times[k]:.6g}", float(times[k - 1]),
+                    states[k - 1].copy())
+            q_r[blk] = states[blk] @ model.power.T + u[blk] @ model.power_injection.T
+    del u  # the dynamic-droop trace takes its place
     x_dev = states[:, 2 * n :]
-    q_r = states @ model.power.T + u @ model.power_injection.T
     x_abs = x_dev + model.reference.x_star[None, :] if x_dev.shape[1] else x_dev
     return Trajectory(
         times=times,
@@ -154,60 +249,6 @@ def _extract_trajectory(model: StateSpaceModel, times, states, u) -> Trajectory:
         states=states,
         base_omega0=model.reference.omega0,
     )
-
-
-def _physical_memory() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def _step_count(model: StateSpaceModel, config: SimConfig) -> int:
-    """Steps of a run, rejecting runs that need more bytes at their peak than
-    the machine's physical memory before anything run-length is allocated.
-
-    Per step, the peak holds two state-sized and four bus-sized rows: a
-    stochastic run's noise draws and increments, or the states, drive,
-    inputs and power trace.  For a 500 s stochastic run of the bundled
-    iDroop document that is 40.0 MB; tracemalloc read 40.8 MB, against
-    12 MB of states.
-    """
-    n_steps = config.horizon / config.dt  # a float: inf past the float range
-    size = (n_steps + 1) * (2 * model.n_states + 4 * model.n_buses) * 8
-    memory = _physical_memory()
-    if size > memory:
-        raise ValidationError(
-            f"{n_steps:.3g} steps (horizon / dt) need {size:.3g} bytes at the run's peak, "
-            f"more than the {memory:.3g} bytes of physical memory"
-        )
-    return round(n_steps)
-
-
-def _march(model, config, initial_state, noise_increments=None) -> Trajectory:
-    n_steps = _step_count(model, config)
-    times = np.arange(n_steps + 1) * config.dt
-    u = _input_schedule(config, model.n_buses, times)
-
-    dim = model.n_states
-    z = np.zeros(dim) if initial_state is None else np.asarray(initial_state, dtype=float).copy()
-    if z.shape != (dim,) or not np.all(np.isfinite(z)):
-        raise ValidationError(f"initial state must be a finite vector of shape ({dim},)")
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi, psi = _rk4_propagators(model.a, model.injection, config.dt)
-        drive = u[:-1] @ psi.T
-        if noise_increments is not None:
-            drive = np.add(noise_increments, drive, out=noise_increments)
-        states = np.empty((n_steps + 1, dim))
-        states[0] = z
-        for row, d in zip(states[1:], drive):
-            phi.dot(z, out=row)
-            row += d
-            z = row
-    finite = np.isfinite(states).all(axis=1)
-    if not finite.all():
-        k = int(finite.argmin())  # first non-finite sample; k >= 1
-        raise SimulationDiverged(
-            f"simulation diverged at t={times[k]:.6g}", float(times[k - 1]), states[k - 1].copy()
-        )
-    return _extract_trajectory(model, times, states, u)
 
 
 def simulate_deterministic(model: StateSpaceModel, config: SimConfig,
@@ -230,16 +271,7 @@ def simulate_stochastic(model: StateSpaceModel, config: SimConfig,
         raise ValidationError("stochastic run requires noise_enabled=True")
     if config.seed is None:
         raise ValidationError("stochastic run requires a seed")
-    n_steps = _step_count(model, config)
-    n = model.n_buses
-    rng = np.random.default_rng(config.seed)
-    scale = np.sqrt(config.dt)
-    dw1 = rng.standard_normal((n_steps, n)) * scale
-    dw2 = rng.standard_normal((n_steps, n)) * scale
-    dw3 = np.diff(dw2, axis=0, prepend=0.0)
-    increments = dw1 @ model.b_w1.T + dw2 @ model.b_w2.T + (dw3 / config.dt) @ model.b_w3.T
-    del dw1, dw2, dw3  # free them before the march holds the drive and the states
-    return _march(model, config, initial_state, noise_increments=increments)
+    return _march(model, config, initial_state)
 
 
 def compute_metrics(trajectory: Trajectory, steady: SteadyState | None = None) -> Metrics:
@@ -255,7 +287,8 @@ def compute_metrics(trajectory: Trajectory, steady: SteadyState | None = None) -
     tail50 = omega[n_samples // 2 :]
     with np.errstate(over="ignore", invalid="ignore"):  # the sums may overflow; named below
         settling = float(tail10.mean()) if tail10.size else 0.0
-        variance = float((tail50**2).sum(axis=1).mean()) if tail50.size else 0.0
+        sums = [(omega[blk] ** 2).sum(axis=1) for blk in _blocks(n_samples, n_samples // 2)]
+        variance = float(np.concatenate(sums).mean()) if tail50.size else 0.0
 
     if steady is not None:
         direction = steady.omega0 - trajectory.base_omega0
@@ -269,7 +302,8 @@ def compute_metrics(trajectory: Trajectory, steady: SteadyState | None = None) -
         flat = omega.reshape(-1)
         nadir = float(flat[np.argmax(np.abs(flat))]) if flat.size else 0.0
 
-    peak = float(np.abs(trajectory.q_r_dev).max()) if trajectory.q_r_dev.size else 0.0
+    q_r = trajectory.q_r_dev
+    peak = float(np.max([np.abs(q_r[blk]).max() for blk in _blocks(len(q_r))])) if q_r.size else 0.0
     metrics = Metrics(
         nadir=nadir,
         settling_frequency=settling,

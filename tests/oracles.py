@@ -5,7 +5,9 @@ Kronecker solve.  The H2 references are meant for small systems (up to
 about 30 states): the Kronecker solve builds a dense d^2 x d^2 system, and
 the quadrature solves one d x d complex system per grid frequency.  The
 reference march is the per-step time-domain loop that gridfreq's
-precomputed-drive march replaced.  The sweep route evaluates a sweep one
+precomputed-drive march replaced.  The reference metrics summarise a
+whole trajectory with whole-array reductions, as ``compute_metrics`` did
+before it went block by block.  The sweep route evaluates a sweep one
 point at a time through the public per-model functions, as sweeps ran
 before they were stacked and before repeated points shared one
 evaluation.  The component finder is a plain breadth-first
@@ -32,8 +34,10 @@ import scipy.linalg
 from gridfreq import (
     InverterConfig,
     InverterMode,
+    Metrics,
     NetworkDocument,
     NoiseGains,
+    NumericalError,
     PowerNetwork,
     SimulationDiverged,
     ValidationError,
@@ -161,6 +165,43 @@ def reference_march(model, config, initial_state=None, increments=None):
             )
         states[k + 1] = z
     return states
+
+
+def reference_metrics(trajectory, steady=None):
+    """compute_metrics from whole-array reductions: the settling mean of the
+    last 10% of omega, the mean row sum of omega**2 over the last 50%, the
+    extremum of omega in the disturbance's direction and the largest |q_r|."""
+    omega = trajectory.omega_dev
+    n_samples = omega.shape[0]
+    tail10 = omega[int(np.floor(0.9 * n_samples)) :]
+    tail50 = omega[n_samples // 2 :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        settling = float(tail10.mean()) if tail10.size else 0.0
+        variance = float((tail50**2).sum(axis=1).mean()) if tail50.size else 0.0
+
+    if steady is not None:
+        direction = steady.omega0 - trajectory.base_omega0
+    else:
+        direction = settling
+    if direction < 0:
+        nadir = float(omega.min())
+    elif direction > 0:
+        nadir = float(omega.max())
+    else:
+        flat = omega.reshape(-1)
+        nadir = float(flat[np.argmax(np.abs(flat))]) if flat.size else 0.0
+
+    peak = float(np.abs(trajectory.q_r_dev).max()) if trajectory.q_r_dev.size else 0.0
+    metrics = Metrics(
+        nadir=nadir,
+        settling_frequency=settling,
+        peak_inverter_power=peak,
+        empirical_output_variance=variance,
+    )
+    for name, value in vars(metrics).items():
+        if not np.isfinite(value):
+            raise NumericalError(f"metric {name} is not finite ({value}); the run overflows it")
+    return metrics
 
 
 def components(n, edges):

@@ -13,13 +13,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gridfreq import (
+    SimConfig,
     Trajectory,
     ValidationError,
+    assemble_closed_loop,
     load_document,
     parse_document,
     reduce_document,
+    simulate_stochastic,
 )
 from gridfreq.cli import _write_trajectory_csv, main
+from gridfreq.sim import BLOCK_STEPS
 import gridfreq.dynamics
 import gridfreq.network
 from oracles import document_to_obj, save_document
@@ -326,6 +330,22 @@ class TestCli:
             values = [times[k], *theta[k], *omega[k], *q_r[k], *x[k]]
             lines.append(",".join(repr(float(v)) for v in values))
         assert path.read_text() == "\n".join(lines) + "\n"
+
+    def test_trajectory_csv_across_blocks_is_the_whole_table(self, tmp_path):
+        """A run of three full blocks and a partial one is written block by
+        block, each row as the whole table's row would be."""
+        system = reduce_document(load_document(EXAMPLE))
+        model = assemble_closed_loop(system.network, system.configs, system.noise)
+        config = SimConfig(dt=0.01, horizon=(3 * BLOCK_STEPS + 17) * 0.01, seed=2,
+                           noise_enabled=True, disturbances=system.disturbances)
+        trajectory = simulate_stochastic(model, config)
+        path = tmp_path / "trajectory.csv"
+        _write_trajectory_csv(path, trajectory, system.bus_ids)
+        table = np.hstack([trajectory.times[:, None], trajectory.theta_dev,
+                           trajectory.omega_dev, trajectory.q_r_dev, trajectory.x])
+        header, *rows = path.read_text().splitlines()
+        assert rows == [",".join(map(repr, row)) for row in table.tolist()]
+        assert len(rows) == 3 * BLOCK_STEPS + 18 and header.endswith(",x_9")
 
     def test_output_key_order(self, capsys, tmp_path):
         """The key order of every command's JSON: steady-state, stability and

@@ -1,5 +1,7 @@
 import os
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,11 +23,14 @@ from gridfreq import (
     steady_state,
     uniform_fleet,
 )
+from gridfreq.sim import BLOCK_STEPS
 from conftest import high_noise, random_connected_network, ten_bus_network
 from oracles import lyapunov_diagnostics
 import oracles
 
 STEP = (Disturbance(time=1.0, bus=9, delta_p=-0.5),)
+# three full blocks and a partial one, at dt = 0.01
+SEAMS_HORIZON = (3 * BLOCK_STEPS + 17) * 0.01
 
 
 def stepped_network(base=None, bus=9, delta_p=-0.5):
@@ -54,21 +59,66 @@ class TestSimConfig:
     @pytest.mark.parametrize("noise", [False, True], ids=["deterministic", "stochastic"])
     def test_memory_bound_counts_the_run_s_peak(self, monkeypatch, ten_bus, idroop_fleet, noise):
         """1000 steps of 30 states and 10 buses hold 0.24 MB of states but
-        0.8 MB at their peak; a machine with memory in between rejects the
-        run, and one with the full need runs it."""
+        0.98 MB at their peak, one block's temporaries included; a machine
+        with memory in between rejects the run, and one with the full need
+        runs it."""
         model = assemble_closed_loop(ten_bus, idroop_fleet)
         config = SimConfig(dt=0.01, horizon=10.0, seed=1 if noise else None, noise_enabled=noise)
         simulate = simulate_stochastic if noise else simulate_deterministic
-        need = 1001 * (2 * 30 + 4 * 10) * 8
+        need = (1001 * (30 + 2 * 10 + 1) + (BLOCK_STEPS + 1) * (30 + 4 * 10)) * 8
         pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 40_000}
         assert 1001 * 30 * 8 < 8 * 40_000 < need
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-        with pytest.raises(ValidationError, match=r"^1e\+03 steps \(horizon / dt\) need 8\.01e\+05 "
+        with pytest.raises(ValidationError, match=r"^1e\+03 steps \(horizon / dt\) need 9\.82e\+05 "
                                                   r"bytes at the run's peak, more than the "
                                                   r"3\.2e\+05 bytes of physical memory$"):
             simulate(model, config)
         pages["SC_PHYS_PAGES"] = need // 8
         assert simulate(model, config).states.shape == (1001, 30)
+
+    @pytest.mark.parametrize("horizon", [10.0, SEAMS_HORIZON], ids=["one-block", "seams"])
+    @pytest.mark.parametrize("noise", [False, True], ids=["deterministic", "stochastic"])
+    def test_run_and_metrics_stay_within_the_count(self, ten_bus, idroop_fleet, noise, horizon):
+        """tracemalloc's peak over a run and its metrics is at most the bytes
+        that the memory bound counts: d + 2n + 1 floats a step and one block
+        of d + 4n floats a row."""
+        model = assemble_closed_loop(ten_bus, idroop_fleet, high_noise(10))
+        config = SimConfig(dt=0.01, horizon=horizon, disturbances=STEP,
+                           seed=1 if noise else None, noise_enabled=noise)
+        simulate = simulate_stochastic if noise else simulate_deterministic
+        model.reference  # solved once, outside the trace
+        steps = round(horizon / 0.01)
+        count = ((steps + 1) * (30 + 2 * 10 + 1) + (BLOCK_STEPS + 1) * (30 + 4 * 10)) * 8
+        tracemalloc.start()
+        try:
+            compute_metrics(simulate(model, config))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (steps + 1) * 30 * 8 < peak <= count
+
+
+class TestDisturbance:
+    @pytest.mark.parametrize("bus, delta_p, message", [
+        (1.5, -0.5, "disturbance bus must be an integer, got 1.5"),
+        (True, -0.5, "disturbance bus must be an integer, got True"),
+        (np.bool_(True), -0.5, "disturbance bus must be an integer, got .*True.*"),
+        ("2", -0.5, "disturbance bus must be an integer, got '2'"),
+        (None, -0.5, "disturbance bus must be an integer, got None"),
+        (2, np.nan, "disturbance delta_p must be finite, got nan"),
+        (2, np.inf, "disturbance delta_p must be finite, got inf"),
+        (2, -np.inf, "disturbance delta_p must be finite, got -inf"),
+    ])
+    def test_rejects_bad_values_by_name(self, bus, delta_p, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Disturbance(time=1.0, bus=bus, delta_p=delta_p)
+
+    @pytest.mark.parametrize("bus", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_numpy_integer_bus_is_the_same_step(self, ten_bus, dc_fleet, bus):
+        model = assemble_closed_loop(ten_bus, dc_fleet)
+        runs = [simulate_deterministic(model, SimConfig(dt=0.01, horizon=3.0, disturbances=(
+            Disturbance(time=1.0, bus=b, delta_p=-0.5),))).states for b in (bus, 2)]
+        assert np.array_equal(*runs)
 
 
 class TestDeterministic:
@@ -176,23 +226,38 @@ def mixed_fleet_model(rng):
     return assemble_closed_loop(net, fleet, noise)
 
 
+def dense_model(ten_bus, rng):
+    """The iDroop fleet with dense random noise, input and output matrices,
+    so that each product sums many terms and any change in its order shows."""
+    model = assemble_closed_loop(ten_bus, uniform_fleet(10, "IDROOP", **FLEETS["IDROOP"]))
+    d, n = model.n_states, model.n_buses
+    return replace(model, b=rng.normal(size=(d, 3 * n)) * np.repeat([1.0, 1.0, 0.01], n),
+                   power=rng.normal(size=(n, d)), power_injection=rng.normal(size=(n, n)))
+
+
 class TestMarchAgainstReference:
-    """The precomputed-drive march against the per-step reference loop."""
+    """The precomputed-drive march against the per-step reference loop.  The
+    runs of 5 s fit in one block; the ``across_block_seams`` runs take the
+    same assertions over three full blocks and a partial one."""
 
     @pytest.mark.parametrize("mode", FLEETS)
-    def test_deterministic_is_bitwise_equal(self, ten_bus, mode):
+    def test_deterministic_is_bitwise_equal(self, ten_bus, mode, horizon=5.0):
         model = assemble_closed_loop(ten_bus, uniform_fleet(10, mode, **FLEETS[mode]))
-        config = SimConfig(dt=0.01, horizon=5.0, disturbances=STEP)
+        config = SimConfig(dt=0.01, horizon=horizon, disturbances=STEP)
         start = np.random.default_rng(0).normal(scale=0.1, size=model.n_states)
         states = simulate_deterministic(model, config, initial_state=start).states
         assert np.array_equal(states, oracles.reference_march(model, config, start))
 
+    @pytest.mark.parametrize("mode", FLEETS)
+    def test_deterministic_is_bitwise_equal_across_block_seams(self, ten_bus, mode):
+        self.test_deterministic_is_bitwise_equal(ten_bus, mode, SEAMS_HORIZON)
+
     @pytest.mark.parametrize("disturbances", [(), STEP], ids=["noise-only", "with-step"])
     @pytest.mark.parametrize("mode", FLEETS)
-    def test_stochastic_matches(self, ten_bus, mode, disturbances):
+    def test_stochastic_matches(self, ten_bus, mode, disturbances, horizon=5.0):
         model = assemble_closed_loop(ten_bus, uniform_fleet(10, mode, **FLEETS[mode]),
                                      high_noise(10))
-        config = SimConfig(dt=0.01, horizon=5.0, disturbances=disturbances, seed=11,
+        config = SimConfig(dt=0.01, horizon=horizon, disturbances=disturbances, seed=11,
                            noise_enabled=True)
         states = simulate_stochastic(model, config).states
         reference = oracles.reference_march(
@@ -202,6 +267,11 @@ class TestMarchAgainstReference:
         else:
             # the drive sums the increment and psi @ u before phi @ z is added
             assert np.abs(states - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("disturbances", [(), STEP], ids=["noise-only", "with-step"])
+    @pytest.mark.parametrize("mode", FLEETS)
+    def test_stochastic_matches_across_block_seams(self, ten_bus, mode, disturbances):
+        self.test_stochastic_matches(ten_bus, mode, disturbances, SEAMS_HORIZON)
 
     def test_mixed_fleet_deterministic_is_bitwise_equal(self):
         model = mixed_fleet_model(np.random.default_rng(8))
@@ -218,6 +288,20 @@ class TestMarchAgainstReference:
         reference = oracles.reference_march(
             model, config, increments=oracles.noise_increments(model, config))
         assert np.array_equal(states, reference)
+
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_block_seams_keep_the_bits_of_dense_products(self, ten_bus, extra):
+        """Runs whose last block would be a single row, or is a short one:
+        the states and the power trace are bitwise those of whole-array
+        products (numpy multiplies a single row by another BLAS routine)."""
+        model = dense_model(ten_bus, np.random.default_rng(4))
+        config = SimConfig(dt=0.01, horizon=(2 * BLOCK_STEPS + extra) * 0.01, seed=11,
+                           noise_enabled=True)
+        trajectory = simulate_stochastic(model, config)
+        reference = oracles.reference_march(
+            model, config, increments=oracles.noise_increments(model, config))
+        assert np.array_equal(trajectory.states, reference)
+        assert np.array_equal(trajectory.q_r_dev, reference @ model.power.T)
 
     def test_rejects_non_finite_initial_state(self, ten_bus, dc_fleet):
         model = assemble_closed_loop(ten_bus, dc_fleet)
@@ -321,6 +405,32 @@ class TestStochastic:
         droop_var = compute_metrics(simulate_stochastic(droop_model, config)).empirical_output_variance
         dyn_var = compute_metrics(simulate_stochastic(dyn_model, config)).empirical_output_variance
         assert dyn_var < droop_var
+
+
+class TestMetricsAgainstReference:
+    """Block-wise metrics against the whole-array reductions of the oracle."""
+
+    @pytest.mark.parametrize("delta_p", [-0.5, 0.5, 0.0, None],
+                             ids=["step-down", "step-up", "all-zero", "noise"])
+    @pytest.mark.parametrize("mode", FLEETS)
+    def test_blockwise_metrics_equal_reference(self, ten_bus, mode, delta_p):
+        fleet = uniform_fleet(10, mode, **FLEETS[mode])
+        if delta_p is None:
+            model = assemble_closed_loop(ten_bus, fleet, high_noise(10))
+            trajectory = simulate_stochastic(model, SimConfig(
+                dt=0.01, horizon=SEAMS_HORIZON, seed=3, noise_enabled=True))
+        else:
+            model = assemble_closed_loop(ten_bus, fleet)
+            trajectory = simulate_deterministic(model, SimConfig(
+                dt=0.01, horizon=SEAMS_HORIZON,
+                disturbances=(Disturbance(time=1.0, bus=9, delta_p=delta_p),)))
+        assert trajectory.times.size > 3 * BLOCK_STEPS + 1
+        metrics = compute_metrics(trajectory)
+        assert metrics == oracles.reference_metrics(trajectory)
+        if delta_p == 0.0:
+            assert metrics.nadir == 0.0  # the direction-0 branch
+        post = steady_state(stepped_network(ten_bus, delta_p=delta_p or 0.0), fleet)
+        assert compute_metrics(trajectory, post) == oracles.reference_metrics(trajectory, post)
 
 
 class TestMetrics:
