@@ -11,10 +11,8 @@ Library layout: :mod:`gridfreq.network` (graph, Laplacian, Kron reduction),
 from .analysis import (
     H2Result,
     ModalDecomposition,
-    ModeSystem,
     OptimalAllocation,
     OptimalityReport,
-    h2_closed_form,
     h2_fleet_closed_form,
     h2_frequency_weighted,
     h2_gramian,

@@ -16,9 +16,9 @@ only user of scipy, factors A once: its Hurwitz test reads the spectrum off
 the real Schur form that LAPACK trsyl then solves on.  It rejects non-finite
 input, state matrices with eigenvalues on or right of the imaginary axis
 and solutions whose residual is not small.  The route also takes stacks of
-closed loops, as a sweep builds them: everything but the factorisation, the
-solve and the products around it runs once per stack, and every guard still
-judges each point.
+closed loops, as a sweep or the modes of a homogeneous fleet build them:
+everything but the factorisation, the solve and the products around it runs
+once per stack, and every guard still judges each point.
 """
 
 from __future__ import annotations
@@ -27,18 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import InverterMode, NoiseGains
-from .dynamics import StateSpaceModel, _loop_matrices, _parameters, steady_state
+from .control import InverterMode
+from .dynamics import StateSpaceModel, _loop_matrices, _noise_gains, _parameters, steady_state
 from .errors import NumericalError, ValidationError
 from .network import PowerNetwork
 
 __all__ = [
     "H2Result",
     "ModalDecomposition",
-    "ModeSystem",
     "OptimalAllocation",
     "OptimalityReport",
-    "h2_closed_form",
     "h2_fleet_closed_form",
     "h2_frequency_weighted",
     "h2_gramian",
@@ -79,16 +77,26 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     test reads the spectrum off the real Schur form R = U^T A^T U that
     LAPACK trsyl then solves on.
     """
-    import scipy.linalg  # imported here: commands with no Lyapunov solve never load it
-
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or q.shape != a.shape:
         raise ValidationError(f"shape mismatch: A {a.shape}, Q {q.shape}")
     if a.ndim == 2:
         return solve_lyapunov(a[None], q[None])[0]
+    x, failure = _solve_prefix(a, q)
+    if failure is not None:
+        raise failure
+    return x
+
+
+def _solve_prefix(a: np.ndarray, q: np.ndarray):
+    """:func:`solve_lyapunov` of a (P, d, d) stack that stops at the first
+    failing point: the solutions of the points before it, and its
+    NumericalError (None when every point passes)."""
+    import scipy.linalg  # imported here: commands with no Lyapunov solve never load it
+
     if not a.shape[-1]:
-        return np.empty(a.shape)
+        return np.empty(a.shape), None
     finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(q).all(axis=(1, 2))
     x = np.empty(a.shape)
     solved, failure = 0, None
@@ -125,9 +133,8 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
         point = int(over[0])
         failure = NumericalError(f"Lyapunov residual {residual[point]:.3e} exceeds "
                                  f"{bound[point]:.3e}; system too ill-conditioned", point)
-    if failure is not None:
-        raise failure
-    return x
+        x = x[:point]
+    return x, failure
 
 
 def _h2(a, b, c, null_vector):
@@ -162,13 +169,10 @@ def _h2(a, b, c, null_vector):
         a, b, c = a[finite], b[finite], c[finite]
     if null_vector is not None:
         a = a - np.outer(null_vector, null_vector)
-    q = c.transpose(0, 2, 1) @ c
-    try:
-        x = solve_lyapunov(a, q)
-    except NumericalError as exc:
-        # the points before the failing one still pass through the norm guard below
-        x = solve_lyapunov(a[: exc.point], q[: exc.point])
-        failure = NumericalError(str(exc), finite[exc.point])
+    # the points before a failing one still pass through the norm guard below
+    x, unsolved = _solve_prefix(a, c.transpose(0, 2, 1) @ c)
+    if unsolved is not None:
+        failure = NumericalError(str(unsolved), finite[unsolved.point])
     b = b[: len(x)]
     with np.errstate(over="ignore", invalid="ignore"):
         b_eff = np.concatenate([b[..., :k], b[..., k : 2 * k] + a[: len(x)] @ b[..., 2 * k :]],
@@ -200,32 +204,6 @@ def h2_gramian(model: StateSpaceModel) -> H2Result:
     return _h2(model.a, model.b, model.c, model.rotation_null_vector)
 
 
-def h2_closed_form(kind: str, n: int, m: float, d: float, r_g: float,
-                   r_r: float | None = None, k1: float = 0.0, k2: float = 0.0) -> float:
-    """Squared H2 norm of a homogeneous fleet in closed form.
-
-    kind "DC": droop-controlled inverters on every bus,
-    n*(k1^2 + (k2/r_r)^2) / (2m*(d + 1/r_g + 1/r_r)).
-    kind "SWING": no inverter response at all (1/r_r = k2 = 0),
-    n*k1^2 / (2m*(d + 1/r_g)).
-    """
-    if m <= 0 or r_g <= 0:
-        raise ValidationError("m and r_g must be > 0")
-    if kind == "SWING":
-        damping = d + 1.0 / r_g
-        if damping <= 0:
-            raise ValidationError("nonpositive total damping")
-        return n * k1 * k1 / (2.0 * m * damping)
-    if kind == "DC":
-        if r_r is None or r_r <= 0:
-            raise ValidationError("DC closed form needs r_r > 0")
-        damping = d + 1.0 / r_g + 1.0 / r_r
-        if damping <= 0:
-            raise ValidationError("nonpositive total damping")
-        return n * (k1 * k1 + (k2 / r_r) ** 2) / (2.0 * m * damping)
-    raise ValidationError(f"unknown closed form kind {kind!r} (expected DC or SWING)")
-
-
 def h2_frequency_weighted(model: StateSpaceModel) -> H2Result:
     """Squared H2 norm with the derivative-noise channel folded into w2.
 
@@ -237,113 +215,93 @@ def h2_frequency_weighted(model: StateSpaceModel) -> H2Result:
 
 
 @dataclass(frozen=True)
-class ModeSystem:
-    """One decoupled mode of a homogeneous fleet: 2 states for CP/DC/VI,
-    3 for IDROOP.  ``null_vector`` marks the unobservable integrator of the
-    zero network mode."""
-
-    eigenvalue: float
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    null_vector: np.ndarray | None
-
-
-@dataclass(frozen=True)
 class ModalDecomposition:
-    """Orthonormal diagonalization of the network Laplacian plus the
-    per-mode subsystems it decouples a homogeneous fleet into."""
+    """Orthonormal diagonalization of the network Laplacian and the stacked
+    (A, B, C) of the per-mode subsystems it decouples a homogeneous fleet
+    into, one per eigenvalue: 2 states for CP/DC/VI, 3 for IDROOP."""
 
     eigenvalues: np.ndarray
     transform: np.ndarray
-    modes: tuple[ModeSystem, ...]
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
 
 
-def _homogeneous_scalars(network: PowerNetwork, configs, noise):
-    """Extract the shared per-bus parameters, rejecting heterogeneous fleets."""
-
-    def uniform(values, label):
-        values = np.asarray(values, dtype=float)
-        if values.size and not np.allclose(values, values[0], rtol=1e-12, atol=1e-12):
-            raise ValidationError(f"heterogeneous {label}: {values.tolist()}")
-        return float(values[0])
-
+def _uniform_fleet(network: PowerNetwork, configs, noise):
+    """Bus 0's bus, inverter config and noise gains, after checking that every
+    bus shares the inverter mode and, to 1e-12, every parameter of the
+    closed loop; a heterogeneous fleet is rejected, naming the parameter."""
     modes = {c.mode for c in configs}
     if len(modes) != 1:
         raise ValidationError(f"heterogeneous inverter modes: {sorted(m.value for m in modes)}")
-    mode = modes.pop()
-    out = {
-        "mode": mode,
-        "m": uniform([b.inertia for b in network.buses], "inertia"),
-        "d": uniform([b.damping for b in network.buses], "damping"),
-        "r_g": uniform([b.governor_droop for b in network.buses], "governor droop"),
-        "k1": uniform([g.k1 for g in noise], "k1"),
-        "k2": uniform([g.k2 for g in noise], "k2"),
-        "k3": uniform([g.k3 for g in noise], "k3"),
-    }
-    if mode is not InverterMode.CP:
-        out["r_r"] = uniform([c.r_r for c in configs], "r_r")
-    if mode is InverterMode.VI:
-        out["m_v"] = uniform([c.m_v for c in configs], "m_v")
-    if mode is InverterMode.IDROOP:
-        out["delta"] = uniform([c.delta for c in configs], "delta")
-        out["nu"] = uniform([c.nu for c in configs], "nu")
-    return out
+    inverter = {InverterMode.CP: (), InverterMode.DC: ("r_r",), InverterMode.VI: ("r_r", "m_v"),
+                InverterMode.IDROOP: ("r_r", "delta", "nu")}[modes.pop()]
+    buses = network.buses
+    shared = [("inertia", [b.inertia for b in buses]), ("damping", [b.damping for b in buses]),
+              ("governor droop", [b.governor_droop for b in buses]),
+              *((name, [getattr(g, name) for g in noise]) for name in ("k1", "k2", "k3")),
+              *((name, [getattr(c, name) for c in configs]) for name in inverter)]
+    for label, values in shared:
+        values = np.array(values, dtype=float)
+        if not np.allclose(values, values[0], rtol=1e-12, atol=1e-12):
+            raise ValidationError(f"heterogeneous {label}: {values.tolist()}")
+    return network.buses[0], configs[0], noise[0]
 
 
 def h2_fleet_closed_form(network: PowerNetwork, configs, noise) -> float:
     """Closed-form squared H2 norm of a homogeneous all-DC or all-CP fleet.
 
+    DC (droop on every bus): n*(k1^2 + (k2/r_r)^2) / (2m*(d + 1/r_g + 1/r_r)).
+    CP (the swing equation alone): n*k1^2 / (2m*(d + 1/r_g)).
     Heterogeneous fleets and VI or IDROOP fleets have no closed form and
     are rejected.
     """
-    p = _homogeneous_scalars(network, configs, noise)
-    n = network.n_buses
-    if p["mode"] is InverterMode.DC:
-        return h2_closed_form("DC", n, p["m"], p["d"], p["r_g"], p["r_r"], p["k1"], p["k2"])
-    if p["mode"] is InverterMode.CP:
-        return h2_closed_form("SWING", n, p["m"], p["d"], p["r_g"], k1=p["k1"])
-    raise ValidationError(
-        f"no closed form for an all-{p['mode'].value} fleet (only DC and CP/swing)"
-    )
+    bus, config, gains = _uniform_fleet(network, configs, noise)
+    n, m, k1 = network.n_buses, bus.inertia, gains.k1
+    damping = bus.damping + 1.0 / bus.governor_droop
+    if config.mode is InverterMode.DC:
+        damping += 1.0 / config.r_r
+        return n * (k1 * k1 + (gains.k2 / config.r_r) ** 2) / (2.0 * m * damping)
+    if config.mode is InverterMode.CP:
+        return n * k1 * k1 / (2.0 * m * damping)
+    raise ValidationError(f"no closed form for an all-{config.mode.value} fleet "
+                          "(only DC and CP/swing)")
 
 
 def modal_decompose(network: PowerNetwork, configs, noise=None) -> ModalDecomposition:
     """Decouple a homogeneous fleet into independent per-mode subsystems.
 
     The orthonormal transform diagonalizes the susceptance Laplacian, with
-    the first column fixed to the uniform vector (the zero mode).  Requires
-    identical parameters on every bus; heterogeneous input is rejected.
+    the first column fixed to the uniform vector (the zero mode).  Every
+    mode is the closed loop of one bus whose Laplacian is its eigenvalue,
+    and all of them are built as one stack.  Requires identical parameters
+    on every bus; heterogeneous input is rejected.
     """
-    if noise is None:
-        noise = [NoiseGains() for _ in range(network.n_buses)]
-    _homogeneous_scalars(network, configs, noise)
+    noise = _noise_gains(noise, network.n_buses)
+    bus, config, gains = _uniform_fleet(network, configs, noise)
     eigenvalues, transform = np.linalg.eigh(network.laplacian)
-    eigenvalues = eigenvalues.copy()
     if abs(eigenvalues[0]) > 1e-9:
         raise NumericalError(f"smallest Laplacian eigenvalue {eigenvalues[0]:.3e} not ~0")
     eigenvalues[0] = 0.0
-    n = network.n_buses
-    transform = transform.copy()
-    transform[:, 0] = 1.0 / np.sqrt(n)
-    bus = network.buses[0]
-
-    def mode(lam):
-        loop = _loop_matrices(np.array([[lam]]), np.array([bus.inertia]),
-                              np.array([bus.damping + 1.0 / bus.governor_droop]),
-                              [configs[0].mode], _parameters(configs[:1]), noise[:1])
-        a, b, c = loop["a"][0], loop["b"][0], loop["c"][0]
-        null = np.eye(a.shape[0])[0] if abs(lam) < 1e-12 else None
-        return ModeSystem(float(lam), a, b, c, null)
-
-    modes = tuple(mode(lam) for lam in eigenvalues)
-    return ModalDecomposition(eigenvalues=eigenvalues, transform=transform, modes=modes)
+    transform[:, 0] = 1.0 / np.sqrt(network.n_buses)
+    params = {name: np.broadcast_to(values, (len(eigenvalues), 1))
+              for name, values in _parameters([config]).items()}
+    loop = _loop_matrices(eigenvalues[:, None, None], np.array([bus.inertia]),
+                          np.array([bus.damping + 1.0 / bus.governor_droop]),
+                          [config.mode], params, [gains])
+    return ModalDecomposition(eigenvalues=eigenvalues, transform=transform,
+                              a=loop["a"], b=loop["b"], c=loop["c"])
 
 
 def mode_norms(decomposition: ModalDecomposition) -> list[H2Result]:
     """Squared H2 norm of each decoupled mode; their sum equals the
-    full-model norm because the modal transform is orthonormal."""
-    return [_h2(mode.a, mode.b, mode.c, mode.null_vector) for mode in decomposition.modes]
+    full-model norm because the modal transform is orthonormal.  The first
+    modes, of eigenvalue 0 to 1e-12, have their angle integrator shifted
+    away; they are solved as one stack and the rest as another."""
+    a, b, c = decomposition.a, decomposition.b, decomposition.c
+    zero = int(np.count_nonzero(np.abs(decomposition.eigenvalues) < 1e-12))
+    return (_h2(a[:zero], b[:zero], c[:zero], np.eye(a.shape[-1])[0])
+            + _h2(a[zero:], b[zero:], c[zero:], None))
 
 
 @dataclass(frozen=True)

@@ -107,22 +107,13 @@ def _write_trajectory_csv(path: Path, trajectory, bus_ids) -> None:
 def _simulate_cmd(args, system) -> int:
     if args.stochastic and args.seed is None:
         raise ValidationError("--stochastic requires --seed")
-    horizon = args.horizon
-    if horizon is None:
-        horizon = 2000.0 if args.stochastic else 30.0
-    config = SimConfig(
-        dt=args.dt,
-        horizon=horizon,
-        disturbances=system.disturbances,
-        seed=args.seed,
-        noise_enabled=args.stochastic,
-    )
+    horizon = args.horizon if args.horizon is not None else 2000.0 if args.stochastic else 30.0
+    config = SimConfig(dt=args.dt, horizon=horizon, disturbances=system.disturbances,
+                       seed=args.seed, noise_enabled=args.stochastic)
     model = assemble_closed_loop(system.network, system.configs, system.noise)
+    simulate = simulate_stochastic if args.stochastic else simulate_deterministic
     with _document_bus_ids(system):
-        if args.stochastic:
-            trajectory = simulate_stochastic(model, config)
-        else:
-            trajectory = simulate_deterministic(model, config)
+        trajectory = simulate(model, config)
     metrics = compute_metrics(trajectory)
 
     out_dir = Path(args.out)
@@ -148,9 +139,8 @@ def _h2_cmd(args, system) -> int:
         reference = h2_fleet_closed_form(system.network, system.configs, system.noise)
         summary["closed_form"] = reference
         if result.is_finite:
-            summary["closed_form_relative_gap"] = abs(result.value - reference) / max(
-                reference, 1e-30
-            )
+            gap = abs(result.value - reference) / max(reference, 1e-30)
+            summary["closed_form_relative_gap"] = gap
     _emit(summary)
     return EXIT_OK
 
@@ -169,17 +159,13 @@ def _modal_cmd(args, system) -> int:
     model = assemble_closed_loop(system.network, system.configs, system.noise)
     full = h2_frequency_weighted(model)
     finite = [r.value for r in norms if r.is_finite]
-    _emit(
-        {
-            "eigenvalues": decomposition.eigenvalues.tolist(),
-            "mode_norms": [
-                {"eigenvalue": float(lam), "kind": r.kind, **_h2_value(r)}
-                for lam, r in zip(decomposition.eigenvalues, norms)
-            ],
-            "sum_of_modes": sum(finite) if len(finite) == len(norms) else None,
-            "full_model": {"kind": full.kind, **_h2_value(full)},
-        }
-    )
+    _emit({
+        "eigenvalues": decomposition.eigenvalues.tolist(),
+        "mode_norms": [{"eigenvalue": float(lam), "kind": r.kind, **_h2_value(r)}
+                       for lam, r in zip(decomposition.eigenvalues, norms)],
+        "sum_of_modes": sum(finite) if len(finite) == len(norms) else None,
+        "full_model": {"kind": full.kind, **_h2_value(full)},
+    })
     return EXIT_OK
 
 
@@ -187,11 +173,8 @@ def _sweep_cmd(args, system) -> int:
     spec = load_sweep_spec(args.sweep)
     sim_config = None
     if spec.metric == "nadir":
-        sim_config = SimConfig(
-            dt=args.dt,
-            horizon=args.horizon if args.horizon is not None else 30.0,
-            disturbances=system.disturbances,
-        )
+        horizon = args.horizon if args.horizon is not None else 30.0
+        sim_config = SimConfig(dt=args.dt, horizon=horizon, disturbances=system.disturbances)
     with _document_bus_ids(system):
         rows = run_sweep(system.network, system.configs, system.noise, spec, sim_config)
     out_dir = Path(args.out)
@@ -202,20 +185,15 @@ def _sweep_cmd(args, system) -> int:
         for first, second, value in rows:
             middle = "" if second is None else _fmt(second)
             fh.write(f"{_fmt(first)},{middle},{_fmt(value)}\n")
-    _emit(
-        {
-            "axes": [
-                {"name": ax.name, "min": ax.minimum, "max": ax.maximum,
-                 "count": ax.count, "spacing": ax.spacing}
-                for ax in spec.axes
-            ],
-            "metric": spec.metric,
-            "points": len(rows),
-            "min": _finite_or_null(min(v for *_, v in rows)),
-            "max": _finite_or_null(max(v for *_, v in rows)),
-            "csv": str(path),
-        }
-    )
+    _emit({
+        "axes": [{"name": ax.name, "min": ax.minimum, "max": ax.maximum, "count": ax.count,
+                  "spacing": ax.spacing} for ax in spec.axes],
+        "metric": spec.metric,
+        "points": len(rows),
+        "min": _finite_or_null(min(v for *_, v in rows)),
+        "max": _finite_or_null(max(v for *_, v in rows)),
+        "csv": str(path),
+    })
     return EXIT_OK
 
 

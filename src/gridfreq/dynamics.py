@@ -7,9 +7,9 @@ substituting the swing equation, so the model stays in explicit standard
 form (no descriptor mass matrix).  This module is the one place where
 inverter configs become matrices: the state equation, the noise and
 injection inputs, and the inverter-power output.  Modal subsystems are the
-same loop built on a one-bus network.  Assembly and the steady state read
-the network's cached Laplacian; a model solves its reference steady state
-only when something reads it, so an H2 evaluation never does.
+same loop built on a stack of one-bus networks.  Assembly and the steady
+state read the network's cached Laplacian; a model solves its reference
+steady state only when something reads it, so an H2 evaluation never does.
 """
 
 from __future__ import annotations
@@ -208,17 +208,18 @@ def _loop_matrices(laplacian, inertia, damping, modes, params, noise) -> dict:
 
     ``modes`` holds each bus's inverter mode and ``params`` maps each of
     :data:`PARAMETERS` to an array of shape (P, n): P points that share the
-    network, the modes and the noise.  Every returned matrix carries the
-    same leading point axis.  ``damping`` is each bus's load damping plus
-    its governor slope 1/r_g.  The deviation of the commanded inverter
-    power is q_r_dev = power @ z + power_injection @ u: -omega/r_r for DC,
-    that less m_v*omega_dot for VI (omega_dot read off the swing rows of A
-    and F), the internal state x for IDROOP and zero for CP.  The keys are
-    the matching :class:`StateSpaceModel` fields.  An entry that overflows
-    (a huge susceptance over a tiny inertia) comes out non-finite without a
-    warning; the Lyapunov solve and the march's divergence scan report it.
+    modes and the noise, and the network unless ``laplacian`` is a
+    (P, n, n) stack too.  Every returned matrix carries the same leading
+    point axis.  ``damping`` is each bus's load damping plus its governor
+    slope 1/r_g.  The deviation of the commanded inverter power is
+    q_r_dev = power @ z + power_injection @ u: -omega/r_r for DC, that less
+    m_v*omega_dot for VI (omega_dot read off the swing rows of A and F), the
+    internal state x for IDROOP and zero for CP.  The keys are the matching
+    :class:`StateSpaceModel` fields.  An entry that overflows (a huge
+    susceptance over a tiny inertia) comes out non-finite without a warning;
+    the Lyapunov solve and the march's divergence scan report it.
     """
-    n = laplacian.shape[0]
+    n = laplacian.shape[-1]
     r_r, m_v = params["r_r"], params["m_v"]
     lead = r_r.shape[:-1]
     static = np.array([mode in (InverterMode.DC, InverterMode.VI) for mode in modes], dtype=bool)
@@ -242,7 +243,7 @@ def _loop_matrices(laplacian, inertia, damping, modes, params, noise) -> dict:
     a[..., n + ids, xs] = 1.0 / m_id
     # x_dot = -delta*(omega/r_r + x) - nu*omega_dot, with omega_dot
     # replaced by the swing equation of the inverter's bus.
-    a[..., xs, :n] = nu[..., :, None] * laplacian[ids] / m_id[..., :, None]
+    a[..., xs, :n] = nu[..., :, None] * laplacian[..., ids, :] / m_id[..., :, None]
     a[..., xs, n + ids] = -delta * rr_inv_id + nu * d_hat[..., ids] / m_id
     a[..., xs, xs] = -delta - nu / m_id
 

@@ -8,9 +8,11 @@ its rows 1.. hold the drive psi @ u[k] until step k writes its state over
 it: phi @ z goes into one small buffer (``phi.dot(z, out=product)``) and is
 added into the row, so a step allocates and copies nothing, and the states
 are bit for bit those of the plain recurrence.  The drive, the noise, the
-scan for non-finite states after the march, the power trace and the metrics
-go in blocks of BLOCK_STEPS rows, so a run holds its states, inputs and
-output traces and no other array of its length.
+power trace and the metrics go in blocks of BLOCK_STEPS rows, so a run
+holds its states, inputs and output traces and no other array of its
+length.  Each block's drive is written, its rows marched and scanned for
+non-finite states before the next block starts, so a diverging run stops
+within one block of the step where it diverged.
 
 Stochastic runs add Euler-Maruyama noise increments into the same drive:
 Gaussian increments of variance dt per channel for w1 and w2 (all of dW1,
@@ -26,6 +28,7 @@ power_injection @ u, so the control laws are encoded in dynamics only.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -55,6 +58,20 @@ def _blocks(n_rows: int, start: int = 0):
     return [slice(a, b) for a, b in zip([start, *stops], stops)]
 
 
+def _is_integer(value) -> bool:
+    """True for an int, numpy's included, and False for a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
+def _is_finite(value) -> bool:
+    """True for a real number that a float holds finitely; False for NaN, an
+    infinity, an int past the float range and anything that is not a number."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class Disturbance:
     """Step change of the power injection at one bus, applied from the first
@@ -65,10 +82,11 @@ class Disturbance:
     delta_p: float
 
     def __post_init__(self):
-        if isinstance(self.bus, bool) or not isinstance(self.bus, (int, np.integer)):
+        if not _is_integer(self.bus):
             raise ValidationError(f"disturbance bus must be an integer, got {self.bus!r}")
-        if not np.isfinite(self.delta_p):
-            raise ValidationError(f"disturbance delta_p must be finite, got {self.delta_p}")
+        for name, value in (("time", self.time), ("delta_p", self.delta_p)):
+            if not _is_finite(value):
+                raise ValidationError(f"disturbance {name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -81,10 +99,12 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "disturbances", tuple(self.disturbances))
-        if not (np.isfinite(self.dt) and self.dt > 0):
+        if not (_is_finite(self.dt) and self.dt > 0):
             raise ValidationError(f"dt must be finite and > 0, got {self.dt}")
-        if not (np.isfinite(self.horizon) and self.horizon >= self.dt):
+        if not (_is_finite(self.horizon) and self.horizon >= self.dt):
             raise ValidationError(f"horizon must be finite and at least dt, got {self.horizon}")
+        if self.seed is not None and not _is_integer(self.seed):
+            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
         if self.seed is not None and self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         for dist in self.disturbances:
@@ -217,24 +237,24 @@ def _march(model, config, initial_state) -> Trajectory:
         phi, psi = _rk4_propagators(model.a, model.injection, config.dt)
         if config.noise_enabled:
             _write_noise(model, config, drive)
+        product = np.empty(dim)
         for blk in _blocks(n_steps):
             if config.noise_enabled:
                 drive[blk] += u[blk] @ psi.T
             else:
                 np.matmul(u[blk], psi.T, out=drive[blk])
-        product = np.empty(dim)
-        for row in drive:
-            phi.dot(z, out=product)
-            np.add(product, row, out=row)
-            z = row
-        q_r = np.empty((n_steps + 1, n))
-        for blk in _blocks(n_steps + 1):
-            finite = np.isfinite(states[blk]).all(axis=1)
+            for row in drive[blk]:
+                phi.dot(z, out=product)
+                np.add(product, row, out=row)
+                z = row
+            finite = np.isfinite(drive[blk]).all(axis=1)
             if not finite.all():
-                k = blk.start + int(finite.argmin())  # first non-finite sample; k >= 1
+                k = blk.start + 1 + int(finite.argmin())  # first non-finite sample; k >= 1
                 raise SimulationDiverged(
                     f"simulation diverged at t={times[k]:.6g}", float(times[k - 1]),
                     states[k - 1].copy())
+        q_r = np.empty((n_steps + 1, n))
+        for blk in _blocks(n_steps + 1):
             q_r[blk] = states[blk] @ model.power.T + u[blk] @ model.power_injection.T
     del u  # the dynamic-droop trace takes its place
     x_dev = states[:, 2 * n :]
@@ -298,9 +318,10 @@ def compute_metrics(trajectory: Trajectory, steady: SteadyState | None = None) -
         nadir = float(omega.min())
     elif direction > 0:
         nadir = float(omega.max())
-    else:
-        flat = omega.reshape(-1)
-        nadir = float(flat[np.argmax(np.abs(flat))]) if flat.size else 0.0
+    else:  # the first largest |omega|: each block's first, then the first of those
+        peaks = np.array([omega[blk].flat[np.abs(omega[blk]).argmax()]
+                          for blk in _blocks(n_samples)] if omega.size else [0.0])
+        nadir = float(peaks[np.abs(peaks).argmax()])
 
     q_r = trajectory.q_r_dev
     peak = float(np.max([np.abs(q_r[blk]).max() for blk in _blocks(len(q_r))])) if q_r.size else 0.0

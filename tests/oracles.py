@@ -14,8 +14,10 @@ evaluation.  The component finder is a plain breadth-first
 search over adjacency sets.
 
 The rest are written out here because no command or library path needs
-them.  ``inverter_power`` and ``idroop_step`` are the scalar inverter laws
-that ``dynamics._loop_matrices`` encodes as matrices.  ``lyapunov_diagnostics``
+them.  ``h2_closed_form`` is the squared H2 norm of n identical droop or
+swing buses as a scalar formula, the reference for the norms of
+homogeneous fleets.  ``inverter_power`` and ``idroop_step`` are the scalar
+inverter laws that ``dynamics._loop_matrices`` encodes as matrices.  ``lyapunov_diagnostics``
 is the paper's iDroop energy function V and its decay rate.
 ``laplacian_violations`` checks the invariants of a susceptance Laplacian,
 such as Kron reduction's output.  ``document_to_obj`` and ``save_document``
@@ -104,6 +106,17 @@ def quadrature_h2(a, b_eff, c):
         values[start : start + 500] = np.sum(np.abs(c @ sol) ** 2, axis=(1, 2))
     body = np.trapezoid(values * omegas, np.log(omegas))
     return float(body + values[0] * omegas[0] + values[-1] * omegas[-1]) / np.pi
+
+
+def h2_closed_form(kind, n, m, d, r_g, r_r=None, k1=0.0, k2=0.0):
+    """Squared H2 norm of n identical buses of inertia m, damping d and
+    governor droop r_g.  kind "DC": a droop inverter on every bus,
+    n*(k1^2 + (k2/r_r)^2) / (2m*(d + 1/r_g + 1/r_r)); kind "SWING": no
+    inverter response (1/r_r = k2 = 0), n*k1^2 / (2m*(d + 1/r_g))."""
+    if kind == "SWING":
+        return n * k1 * k1 / (2.0 * m * (d + 1.0 / r_g))
+    assert kind == "DC", kind
+    return n * (k1 * k1 + (k2 / r_r) ** 2) / (2.0 * m * (d + 1.0 / r_g + 1.0 / r_r))
 
 
 def sweep_point_route(network, configs, noise, spec, sim_config=None):

@@ -20,7 +20,6 @@ from gridfreq import (
     assemble_closed_loop,
     check_decentralized_stability,
     compute_metrics,
-    h2_closed_form,
     h2_frequency_weighted,
     h2_gramian,
     modal_decompose,
@@ -34,7 +33,7 @@ from gridfreq import (
 from gridfreq.io import load_document, reduce_document
 from gridfreq.sweep import SweepAxis, SweepSpec, run_sweep
 from conftest import high_noise, path_network, random_connected_network, ten_bus_network
-from oracles import lyapunov_diagnostics
+from oracles import h2_closed_form, lyapunov_diagnostics
 
 DATA = resources.files("gridfreq") / "data"
 HIGH_NOISE = high_noise(10)

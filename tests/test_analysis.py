@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 import oracles
+from gridfreq import analysis
 from gridfreq import (
     Bus,
     InverterConfig,
@@ -15,7 +16,7 @@ from gridfreq import (
     PowerNetwork,
     ValidationError,
     assemble_closed_loop,
-    h2_closed_form,
+    h2_fleet_closed_form,
     h2_frequency_weighted,
     h2_gramian,
     load_document,
@@ -29,6 +30,7 @@ from gridfreq import (
     verify_steady_state_optimality,
 )
 from conftest import high_noise, path_network, random_connected_network, ten_bus_network
+from oracles import h2_closed_form
 
 
 def mixed_fleet_model(rng):
@@ -192,6 +194,26 @@ class TestSolveLyapunov:
         assert h2_frequency_weighted(model).is_finite
         assert calls == {"schur": 1, "eigvals": 0}
 
+    def test_failing_stack_is_factored_once_per_point(self, monkeypatch):
+        # An H2 stack whose point 2 is unstable: points 0..2 are factored once
+        # each, and the norm guard still judges points 0 and 1.
+        a, q = self.stable_stack(np.random.default_rng(8), 4, 4)
+        a[2] += 50.0 * np.eye(4)
+        b = np.concatenate([np.ones((4, 4, 2)), np.zeros((4, 4, 1))], axis=-1)
+        c = np.eye(4)[None, :2].repeat(4, axis=0)
+        calls = []
+        schur = scipy.linalg.schur
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return schur(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", counted)
+        with pytest.raises(NumericalError, match="right half-plane") as excinfo:
+            analysis._h2(a, b, c, None)
+        assert excinfo.value.point == 2
+        assert len(calls) == 3
+
 
 class TestH2Gramian:
     def test_zero_input_gives_zero(self, ten_bus, dc_fleet):
@@ -247,13 +269,30 @@ class TestClosedForm:
     def test_swing_hand_value(self):
         assert h2_closed_form("SWING", 1, 1.0, 0.1, 15.0, k1=1.0) == pytest.approx(3.0)
 
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValidationError):
-            h2_closed_form("DC", 10, -1.0, 0.1, 15.0, 15.0, 0.1, 5.0)
-        with pytest.raises(ValidationError):
-            h2_closed_form("DC", 10, 1.0, 0.1, 15.0, None, 0.1, 5.0)
-        with pytest.raises(ValidationError):
-            h2_closed_form("H_INF", 10, 1.0, 0.1, 15.0, 15.0, 0.1, 5.0)
+    def test_rejects_bad_inputs(self, ten_bus):
+        # A nonpositive inertia and a droop without r_r never reach a closed
+        # form: the network and the inverter config refuse them by name.
+        with pytest.raises(ValidationError, match="inertia must be > 0"):
+            path_network(2, inertia=-1.0).laplacian
+        with pytest.raises(ValidationError, match="DC inverter requires r_r > 0"):
+            InverterConfig(mode="DC", r_r=None)
+        # Fleets with no closed form are refused by name.
+        noise = [NoiseGains(k1=0.1, k2=5.0)] * 10
+        for mode, params in [("VI", dict(r_r=15.0, m_v=0.15)),
+                             ("IDROOP", dict(r_r=15.0, delta=6.0, nu=0.9))]:
+            with pytest.raises(ValidationError, match=f"no closed form for an all-{mode} fleet"):
+                h2_fleet_closed_form(ten_bus, uniform_fleet(10, mode, **params), noise)
+        fleet = uniform_fleet(10, "DC", r_r=15.0)
+        fleet[3] = InverterConfig.droop(r_r=14.0)
+        with pytest.raises(ValidationError, match=r"^heterogeneous r_r: \[15\.0, 15\.0, 15\.0, 14"):
+            h2_fleet_closed_form(ten_bus, fleet, noise)
+
+    def test_fleet_closed_form_equals_scalar_formula(self, ten_bus, dc_fleet):
+        noise = [NoiseGains(k1=0.1, k2=5.0)] * 10
+        assert h2_fleet_closed_form(ten_bus, dc_fleet, noise) == h2_closed_form(
+            "DC", 10, 1.0, 0.1, 15.0, 15.0, 0.1, 5.0)
+        assert h2_fleet_closed_form(ten_bus, uniform_fleet(10, "CP"), noise) == h2_closed_form(
+            "SWING", 10, 1.0, 0.1, 15.0, k1=0.1)
 
     def test_droop_monotone_in_inverter_droop_without_measurement_noise(self):
         # with k2 = 0 a stronger droop (smaller r_r) strictly helps
@@ -382,6 +421,34 @@ class TestModal:
         for result in mode_norms(decomposition):
             assert result.kind == "infinite"
             assert result.feedthrough_gain == pytest.approx(5.0 * 0.15 / 1.15, abs=1e-9)
+
+    @pytest.mark.parametrize("mode", ["CP", "DC", "VI", "IDROOP"])
+    def test_one_stacked_build_and_two_solves(self, monkeypatch, ten_bus, mode):
+        # Every mode comes from one stacked closed-loop build, and the norms
+        # from two stacked solves: the zero mode with its integrator shifted
+        # away, then all the others.  Each equals its one-mode solve.
+        params = {"CP": {}, "DC": dict(r_r=15.0), "VI": dict(r_r=15.0, m_v=0.15),
+                  "IDROOP": dict(r_r=15.0, delta=6.0, nu=0.9)}[mode]
+        calls = {"_loop_matrices": [], "_h2": []}
+        for name in calls:
+            original = getattr(analysis, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name].append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(analysis, name, counted)
+        decomposition = modal_decompose(ten_bus, uniform_fleet(10, mode, **params),
+                                        [NoiseGains(k1=0.1, k2=5.0)] * 10)
+        norms = mode_norms(decomposition)
+        assert len(calls["_loop_matrices"]) == 1
+        assert [len(args[0]) for args in calls["_h2"]] == [1, 9]
+        assert calls["_h2"][0][3].tolist() == [1.0] + [0.0] * (decomposition.a.shape[-1] - 1)
+        assert calls["_h2"][1][3] is None
+        for k, result in enumerate(norms):
+            null = calls["_h2"][0][3] if k == 0 else None
+            alone = analysis._h2(decomposition.a[k], decomposition.b[k], decomposition.c[k], null)
+            assert repr(result) == repr(alone)
 
     def test_heterogeneous_fleet_rejected(self, ten_bus):
         cfgs = uniform_fleet(10, "DC", r_r=15.0)

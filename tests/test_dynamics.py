@@ -181,8 +181,8 @@ class TestAssembleClosedLoop:
     @pytest.mark.parametrize("mode", sorted(FLEETS))
     def test_droop_modal_transform_decouples(self, ten_bus, mode):
         # The orthonormal Laplacian transform turns a homogeneous fleet into
-        # independent modes, and each ModeSystem is the matching diagonal
-        # block of the full model seen in that basis.
+        # independent modes, and each mode of the stacked decomposition is
+        # the matching diagonal block of the full model seen in that basis.
         cfgs = uniform_fleet(10, mode, **FLEETS[mode])
         noise = high_noise(10)
         model = assemble_closed_loop(ten_bus, cfgs, noise)
@@ -193,15 +193,16 @@ class TestAssembleClosedLoop:
         a_modal = t.T @ model.a @ t
         b_modal = t.T @ model.b @ np.kron(np.eye(3), u)
         off_a, off_b = a_modal.copy(), b_modal.copy()
-        for k, mode_system in enumerate(decomposition.modes):
+        assert decomposition.a.shape == (n, k_states, k_states)
+        for k in range(n):
             rows = [k + n * s for s in range(k_states)]
             cols = [k, n + k, 2 * n + k]
-            assert np.abs(a_modal[np.ix_(rows, rows)] - mode_system.a).max() < 1e-12
-            assert np.abs(b_modal[np.ix_(rows, cols)] - mode_system.b).max() < 1e-12
-            assert mode_system.c.tolist() == [[0.0, 1.0] + [0.0] * (k_states - 2)]
+            assert np.abs(a_modal[np.ix_(rows, rows)] - decomposition.a[k]).max() < 1e-12
+            assert np.abs(b_modal[np.ix_(rows, cols)] - decomposition.b[k]).max() < 1e-12
+            assert decomposition.c[k].tolist() == [[0.0, 1.0] + [0.0] * (k_states - 2)]
             if mode == "DC":
                 expected = np.array([[0.0, 1.0], [-lam[k], -(0.1 + 2.0 / 15.0)]])
-                assert np.allclose(mode_system.a, expected, atol=1e-9)
+                assert np.allclose(decomposition.a[k], expected, atol=1e-9)
             off_a[np.ix_(rows, rows)] = 0.0
             off_b[np.ix_(rows, cols)] = 0.0
         assert np.abs(off_a).max() < 1e-12

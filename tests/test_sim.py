@@ -1,4 +1,5 @@
 import os
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -11,13 +12,13 @@ from gridfreq import (
     Disturbance,
     InverterConfig,
     NoiseGains,
+    NumericalError,
     PowerNetwork,
     SimConfig,
     Trajectory,
     ValidationError,
     assemble_closed_loop,
     compute_metrics,
-    h2_closed_form,
     simulate_deterministic,
     simulate_stochastic,
     steady_state,
@@ -25,7 +26,7 @@ from gridfreq import (
 )
 from gridfreq.sim import BLOCK_STEPS
 from conftest import high_noise, random_connected_network, ten_bus_network
-from oracles import lyapunov_diagnostics
+from oracles import h2_closed_form, lyapunov_diagnostics
 import oracles
 
 STEP = (Disturbance(time=1.0, bus=9, delta_p=-0.5),)
@@ -52,9 +53,15 @@ class TestSimConfig:
             SimConfig(dt=2.0, horizon=1.0)
         with pytest.raises(ValidationError):
             SimConfig(dt=0.1, horizon=1.0, disturbances=(Disturbance(5.0, 0, 1.0),))
-        for dt, horizon in [(np.nan, 1.0), (np.inf, np.inf), (0.01, np.inf), (0.01, np.nan)]:
+        for dt, horizon in [(np.nan, 1.0), (np.inf, np.inf), (0.01, np.inf), (0.01, np.nan),
+                            ("0.01", 1.0), (None, 1.0), (0.01, "1.0"), (0.01, None)]:
             with pytest.raises(ValidationError, match="must be finite"):
                 SimConfig(dt=dt, horizon=horizon)
+        for seed in ["3", 3.0, True]:
+            with pytest.raises(ValidationError, match=f"^seed must be an integer, got {seed!r}$"):
+                SimConfig(seed=seed)
+        with pytest.raises(ValidationError, match="^seed must be >= 0, got -1$"):
+            SimConfig(seed=-1)
 
     @pytest.mark.parametrize("noise", [False, True], ids=["deterministic", "stochastic"])
     def test_memory_bound_counts_the_run_s_peak(self, monkeypatch, ten_bus, idroop_fleet, noise):
@@ -108,10 +115,19 @@ class TestDisturbance:
         (2, np.nan, "disturbance delta_p must be finite, got nan"),
         (2, np.inf, "disturbance delta_p must be finite, got inf"),
         (2, -np.inf, "disturbance delta_p must be finite, got -inf"),
+        (2, "x", "disturbance delta_p must be finite, got x"),
+        (2, None, "disturbance delta_p must be finite, got None"),
+        pytest.param(2, 10**400, "disturbance delta_p must be finite, got 10{400}",
+                     id="2-int-past-the-float-range"),
     ])
     def test_rejects_bad_values_by_name(self, bus, delta_p, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             Disturbance(time=1.0, bus=bus, delta_p=delta_p)
+
+    @pytest.mark.parametrize("time", ["1.0", None, np.nan, np.inf])
+    def test_rejects_a_time_that_is_not_a_finite_number(self, time):
+        with pytest.raises(ValidationError, match=f"^disturbance time must be finite, got {time}$"):
+            Disturbance(time=time, bus=2, delta_p=-0.5)
 
     @pytest.mark.parametrize("bus", [np.int64(2), np.int32(2), np.uint8(2)])
     def test_numpy_integer_bus_is_the_same_step(self, ten_bus, dc_fleet, bus):
@@ -433,6 +449,31 @@ class TestMetricsAgainstReference:
         assert compute_metrics(trajectory, post) == oracles.reference_metrics(trajectory, post)
 
 
+    @pytest.mark.parametrize("peaks", [
+        {(1100, 1): -0.3, (2100, 2): 0.3},
+        {(1100, 2): -0.3, (1100, 0): 0.3},
+        {(2100, 0): 0.3, (1100, 2): -0.3, (5, 1): 0.2},
+        {(2700, 1): -0.3, (2 * BLOCK_STEPS, 0): 0.3},
+        {(1100, 1): np.nan, (5, 0): 0.7},
+        {(2100, 1): -np.inf, (1100, 0): np.inf},
+    ], ids=["across-blocks", "in-one-row", "earlier-row-wins", "last-block", "nan", "inf"])
+    def test_zero_direction_nadir_is_the_first_largest_magnitude(self, peaks):
+        # A flat tail (the last 10% starts at row 2780) sends the nadir to the
+        # first largest |omega| in row-major order, wherever the ties fall
+        # among the blocks (rows 0, 1024 and 2048 start one).
+        omega = np.zeros((3 * BLOCK_STEPS + 17, 3))
+        for index, value in peaks.items():
+            omega[index] = value
+        trajectory = TestMetrics().make_trajectory(np.arange(len(omega)) * 0.01, omega)
+        if np.isfinite(list(peaks.values())).all():
+            assert compute_metrics(trajectory) == oracles.reference_metrics(trajectory)
+            return
+        with pytest.raises(NumericalError) as reference:
+            oracles.reference_metrics(trajectory)
+        with pytest.raises(NumericalError, match=f"^{re.escape(str(reference.value))}$"):
+            compute_metrics(trajectory)
+
+
 class TestMetrics:
     def make_trajectory(self, times, omega, q_r=None, base_omega0=0.0):
         n = omega.shape[1]
@@ -503,3 +544,30 @@ class TestDivergenceGuard:
         assert str(excinfo.value) == str(reference.value)
         assert excinfo.value.time == reference.value.time
         assert np.array_equal(excinfo.value.state, reference.value.state)
+
+    def test_diverging_run_stops_within_one_block(self, monkeypatch, ten_bus):
+        # The flipped loop diverges near t = 305 of a 2000 s run (step 30,483 of
+        # 200,000): the march stops at the end of the block that holds that
+        # step and never starts the blocks after it.
+        import gridfreq.sim
+        from gridfreq import SimulationDiverged
+
+        model = assemble_closed_loop(ten_bus, uniform_fleet(10, "DC", r_r=15.0))
+        model = replace(model, a=-10.0 * model.a)
+        config = SimConfig(dt=0.01, horizon=2000.0, disturbances=(Disturbance(0.0, 0, 1.0),))
+        blocks = gridfreq.sim._blocks
+        started = []
+
+        def counted(n_rows, start=0):
+            for blk in blocks(n_rows, start):
+                started.append(blk)
+                yield blk
+
+        monkeypatch.setattr(gridfreq.sim, "_blocks", counted)
+        with pytest.raises(SimulationDiverged) as excinfo:
+            simulate_deterministic(model, config)
+        last_finite = round(excinfo.value.time / config.dt)  # the diverging step is the next one
+        assert 0 < last_finite < 200_000 - 2 * BLOCK_STEPS
+        assert started == blocks(200_000)[: len(started)]
+        assert started[-1].start <= last_finite < started[-1].stop
+
