@@ -115,8 +115,9 @@ def _solve_prefix(a: np.ndarray, q: np.ndarray):
                 point)
             break
         if worst > -1e-12:
-            failure = NumericalError("state matrix has eigenvalues on the imaginary axis; "
-                                     "shift the structural zero mode away before solving", point)
+            failure = NumericalError(
+                f"state matrix has eigenvalues on the imaginary axis (max Re = {worst:.3e}): "
+                "its slowest mode decays slower than 1e-12/s", point)
             break
         # R Y + Y R^T = -U^T Q U with Y = U^T X U; a perturbed solve (info 1) is
         # left to the residual guard

@@ -31,8 +31,7 @@ from .control import check_decentralized_stability
 from .dynamics import assemble_closed_loop, steady_state
 from .errors import GridFreqError, InjectionOverflow, NumericalError, ValidationError
 from .io import load_document, load_sweep_spec, reduce_document
-from .sim import (BLOCK_STEPS, SimConfig, compute_metrics, simulate_deterministic,
-                  simulate_stochastic)
+from .sim import SimConfig, compute_metrics, simulate_deterministic, simulate_stochastic
 from .sweep import run_sweep
 
 EXIT_OK = 0
@@ -95,12 +94,12 @@ def _write_trajectory_csv(path: Path, trajectory, bus_ids) -> None:
         + [f"q_r_dev_{i}" for i in bus_ids]
         + [f"x_{bus_ids[i]}" for i in trajectory.idroop_buses]
     )
-    columns = [trajectory.times[:, None], trajectory.theta_dev, trajectory.omega_dev,
-               trajectory.q_r_dev, trajectory.x]
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, trajectory.times.size, BLOCK_STEPS):  # a whole table copies the run
-            for row in np.hstack([c[start : start + BLOCK_STEPS] for c in columns]).tolist():
+        for rows, q_r, x in trajectory.blocks():  # a whole table copies the run
+            table = [trajectory.times[rows, None], trajectory.theta_dev[rows],
+                     trajectory.omega_dev[rows], q_r, x]
+            for row in np.hstack(table).tolist():
                 fh.write(",".join(map(repr, row)) + "\n")
 
 

@@ -7,12 +7,13 @@ matrices, z+ = phi @ z + psi @ u.  The state array is allocated first and
 its rows 1.. hold the drive psi @ u[k] until step k writes its state over
 it: phi @ z goes into one small buffer (``phi.dot(z, out=product)``) and is
 added into the row, so a step allocates and copies nothing, and the states
-are bit for bit those of the plain recurrence.  The drive, the noise, the
-power trace and the metrics go in blocks of BLOCK_STEPS rows, so a run
-holds its states, inputs and output traces and no other array of its
-length.  Each block's drive is written, its rows marched and scanned for
-non-finite states before the next block starts, so a diverging run stops
-within one block of the step where it diverged.
+are bit for bit those of the plain recurrence.  A run holds its states and
+times and no other array of its length.  Its inputs u are an event table
+of one row per disturbance start, expanded one block of BLOCK_STEPS rows at
+a time; the drive and the noise go in the same blocks.  Each block's drive
+is written, its rows marched and scanned for non-finite states before the
+next block starts, so a diverging run stops within one block of the step
+where it diverged.
 
 Stochastic runs add Euler-Maruyama noise increments into the same drive:
 Gaussian increments of variance dt per channel for w1 and w2 (all of dW1,
@@ -23,7 +24,9 @@ is the mechanism behind the unbounded norm of derivative feedback and is
 deliberately not suppressed.
 
 The inverter-power trace is the model's output q_r_dev = power @ z +
-power_injection @ u, so the control laws are encoded in dynamics only.
+power_injection @ u, so the control laws are encoded in dynamics only.  It
+and the dynamic-droop states are derived from the states, block by block,
+whenever the metrics, the CSV writer or a caller reads them.
 """
 
 from __future__ import annotations
@@ -116,21 +119,61 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled deviation traces.
+    """A uniformly sampled run: its times and states, and the small maps that
+    derive its traces from them.  Only ``times`` and ``states`` span the run.
 
-    theta_dev/omega_dev/q_r_dev are relative to the pre-disturbance steady
-    state; x holds the absolute dynamic-droop states (columns follow
-    ``idroop_buses``).
+    The inputs u are an event table: ``event_rows`` holds the ascending rows
+    at which u changes (row 0 first) and ``event_inputs`` u's value from each
+    of them on.  theta_dev/omega_dev are views of the states, relative to the
+    pre-disturbance steady state of frequency ``base_omega0``.  q_r_dev =
+    power @ z + power_injection @ u and x, the absolute dynamic-droop states
+    (columns follow ``idroop_buses``), are computed on each read and never
+    cached; :meth:`blocks` yields both one block at a time.
     """
 
     times: np.ndarray
-    theta_dev: np.ndarray
-    omega_dev: np.ndarray
-    q_r_dev: np.ndarray
-    x: np.ndarray
-    idroop_buses: tuple[int, ...]
     states: np.ndarray
+    power: np.ndarray
+    power_injection: np.ndarray
+    x_star: np.ndarray
     base_omega0: float
+    idroop_buses: tuple[int, ...]
+    event_rows: np.ndarray
+    event_inputs: np.ndarray
+
+    @property
+    def theta_dev(self) -> np.ndarray:
+        return self.states[:, : len(self.power)]
+
+    @property
+    def omega_dev(self) -> np.ndarray:
+        n = len(self.power)
+        return self.states[:, n : 2 * n]
+
+    @property
+    def q_r_dev(self) -> np.ndarray:
+        whole = np.empty((len(self.times), len(self.power)))
+        for rows, q_r, _ in self.blocks():
+            whole[rows] = q_r
+        return whole
+
+    @property
+    def x(self) -> np.ndarray:
+        # elementwise, so bit for bit the rows of blocks(), without their power trace
+        return self.states[:, 2 * len(self.power) :] + self.x_star
+
+    def blocks(self):
+        """Yield (rows, q_r_dev rows, x rows) for each block of the run.  A
+        block's power trace is one product of its rows, so the last block
+        takes up to BLOCK_STEPS + 1 rows, as the march's do."""
+        n = len(self.power)
+        for rows in _blocks(len(self.times)):
+            states = self.states[rows]
+            with np.errstate(over="ignore", invalid="ignore"):  # overflows are named by the metrics
+                q_r = _inputs(self.event_rows, self.event_inputs, rows) @ self.power_injection.T
+                q_r += states @ self.power.T
+                x = states[:, 2 * n :] + self.x_star
+            yield rows, q_r, x
 
 
 @dataclass(frozen=True)
@@ -160,20 +203,33 @@ def _rk4_propagators(a: np.ndarray, injection: np.ndarray, dt: float):
     return phi, psi
 
 
-def _input_schedule(config: SimConfig, n_buses: int, times: np.ndarray) -> np.ndarray:
-    """Per-sample injection vector; events snap to the first grid point at or
-    after their nominal time."""
-    u = np.zeros((times.size, n_buses))
+def _input_events(config: SimConfig, n_buses: int, n_rows: int):
+    """The input schedule u of a run of n_rows samples as an event table: the
+    ascending rows at which a disturbance starts, row 0 always first, and u's
+    value from each on.  Events snap to the first grid point at or after
+    their nominal time, and each value adds the steps in the order given, as
+    ``u[start:, bus] += delta_p`` over the whole run does."""
+    starts = []
     for dist in config.disturbances:
         if not 0 <= dist.bus < n_buses:
             raise ValidationError(f"disturbance bus {dist.bus} out of range")
-        start = int(np.ceil(dist.time / config.dt - 1e-9))
-        with np.errstate(over="ignore", invalid="ignore"):
-            u[start:, dist.bus] += dist.delta_p
-    finite = np.isfinite(u).all(axis=0)
+        starts.append(int(np.ceil(dist.time / config.dt - 1e-9)))
+    rows = np.unique([0, *(start for start in starts if start < n_rows)])
+    inputs = np.zeros((rows.size, n_buses))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for dist, start in zip(config.disturbances, starts):
+            inputs[np.searchsorted(rows, start) :, dist.bus] += dist.delta_p
+    finite = np.isfinite(inputs).all(axis=0)
     if not finite.all():
         raise InjectionOverflow(int(finite.argmin()))
-    return u
+    return rows, inputs
+
+
+def _inputs(event_rows: np.ndarray, event_inputs: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of the input schedule u, expanded from its event table."""
+    index = np.searchsorted(event_rows, np.arange(rows.start, rows.stop), side="right")
+    index -= 1
+    return event_inputs[index]
 
 
 def _physical_memory() -> int:
@@ -184,15 +240,19 @@ def _step_count(model: StateSpaceModel, config: SimConfig) -> int:
     """Steps of a run, rejecting runs that need more bytes at their peak than
     the machine's physical memory before anything run-length is allocated.
 
-    Per step, the peak holds d + 2n + 1 floats: the states, the time, the
-    power trace and the inputs, whose room the dynamic-droop trace takes when
-    the march is done.  One block's temporaries add at most d + 4n floats a
-    row.  For a 500 s stochastic run of the bundled iDroop document that is
-    21.0 MB; tracemalloc read 20.7 MB, against 12 MB of states.
+    A run holds d + 1 floats a step, its states and its time, and keeps its
+    inputs as a table of one row per disturbance start.  compute_metrics adds
+    half a float a step: the row sums of omega**2 over the last half.  Every
+    other array, in the march and in whatever reads the run (the power trace
+    and the dynamic-droop states, the metrics, the CSV rows), spans one block,
+    and one block's temporaries add at most d + 4n floats a row: tracemalloc
+    read d + 3n for the noise of the bundled iDroop document.  A 500 s
+    stochastic run of that document and its metrics count 13.17 MB;
+    tracemalloc read 13.07 MB, against 12 MB of states.
     """
     n_steps = config.horizon / config.dt  # a float: inf past the float range
     d, n = model.n_states, model.n_buses
-    size = ((n_steps + 1) * (d + 2 * n + 1) + (BLOCK_STEPS + 1) * (d + 4 * n)) * 8
+    size = ((n_steps + 1) * (d + 1) + (n_steps + 2) / 2 + (BLOCK_STEPS + 1) * (d + 4 * n)) * 8
     memory = _physical_memory()
     if size > memory:
         raise ValidationError(
@@ -210,26 +270,29 @@ def _write_noise(model, config, drive) -> None:
     scale = np.sqrt(config.dt)
     blocks = _blocks(drive.shape[0])
     for blk in blocks:  # all of dW1 first, then all of dW2, as one draw of each would take them
-        dw1 = rng.standard_normal((blk.stop - blk.start, n)) * scale
+        dw1 = rng.standard_normal((blk.stop - blk.start, n))
+        dw1 *= scale
         np.matmul(dw1, model.b_w1.T, out=drive[blk])
     previous = np.zeros((1, n))
     for blk in blocks:
-        dw2 = rng.standard_normal((blk.stop - blk.start, n)) * scale
+        dw2 = rng.standard_normal((blk.stop - blk.start, n))
+        dw2 *= scale
         dw3 = np.diff(dw2, axis=0, prepend=previous)
-        previous = dw2[-1:]
+        previous = dw2[-1:].copy()  # a view would hold the whole block until the next one
         drive[blk] += dw2 @ model.b_w2.T
-        drive[blk] += (dw3 / config.dt) @ model.b_w3.T
+        dw3 /= config.dt
+        drive[blk] += dw3 @ model.b_w3.T
 
 
 def _march(model, config, initial_state) -> Trajectory:
     n_steps = _step_count(model, config)
-    times = np.arange(n_steps + 1) * config.dt
     n, dim = model.n_buses, model.n_states
-    u = _input_schedule(config, n, times)
+    events = _input_events(config, n, n_steps + 1)
 
     z = np.zeros(dim) if initial_state is None else np.asarray(initial_state, dtype=float).copy()
     if z.shape != (dim,) or not np.all(np.isfinite(z)):
         raise ValidationError(f"initial state must be a finite vector of shape ({dim},)")
+    times = np.arange(n_steps + 1) * config.dt
     states = np.empty((n_steps + 1, dim))
     states[0] = z
     drive = states[1:]  # each row holds its step's drive until the step writes the state there
@@ -240,9 +303,9 @@ def _march(model, config, initial_state) -> Trajectory:
         product = np.empty(dim)
         for blk in _blocks(n_steps):
             if config.noise_enabled:
-                drive[blk] += u[blk] @ psi.T
+                drive[blk] += _inputs(*events, blk) @ psi.T
             else:
-                np.matmul(u[blk], psi.T, out=drive[blk])
+                np.matmul(_inputs(*events, blk), psi.T, out=drive[blk])
             for row in drive[blk]:
                 phi.dot(z, out=product)
                 np.add(product, row, out=row)
@@ -253,21 +316,16 @@ def _march(model, config, initial_state) -> Trajectory:
                 raise SimulationDiverged(
                     f"simulation diverged at t={times[k]:.6g}", float(times[k - 1]),
                     states[k - 1].copy())
-        q_r = np.empty((n_steps + 1, n))
-        for blk in _blocks(n_steps + 1):
-            q_r[blk] = states[blk] @ model.power.T + u[blk] @ model.power_injection.T
-    del u  # the dynamic-droop trace takes its place
-    x_dev = states[:, 2 * n :]
-    x_abs = x_dev + model.reference.x_star[None, :] if x_dev.shape[1] else x_dev
     return Trajectory(
         times=times,
-        theta_dev=states[:, :n],
-        omega_dev=states[:, n : 2 * n],
-        q_r_dev=q_r,
-        x=x_abs,
-        idroop_buses=model.idroop_buses,
         states=states,
+        power=model.power,
+        power_injection=model.power_injection,
+        x_star=model.reference.x_star,
         base_omega0=model.reference.omega0,
+        idroop_buses=model.idroop_buses,
+        event_rows=events[0],
+        event_inputs=events[1],
     )
 
 
@@ -304,11 +362,14 @@ def compute_metrics(trajectory: Trajectory, steady: SteadyState | None = None) -
     omega = trajectory.omega_dev
     n_samples = omega.shape[0]
     tail10 = omega[int(np.floor(0.9 * n_samples)) :]
-    tail50 = omega[n_samples // 2 :]
+    half = n_samples // 2
+    tail50 = omega[half:]
     with np.errstate(over="ignore", invalid="ignore"):  # the sums may overflow; named below
         settling = float(tail10.mean()) if tail10.size else 0.0
-        sums = [(omega[blk] ** 2).sum(axis=1) for blk in _blocks(n_samples, n_samples // 2)]
-        variance = float(np.concatenate(sums).mean()) if tail50.size else 0.0
+        sums = np.empty(len(tail50))  # each row's sum of omega**2, and one mean over them all
+        for blk in _blocks(n_samples, half):
+            (omega[blk] ** 2).sum(axis=1, out=sums[blk.start - half : blk.stop - half])
+        variance = float(sums.mean()) if tail50.size else 0.0
 
     if steady is not None:
         direction = steady.omega0 - trajectory.base_omega0
@@ -323,8 +384,8 @@ def compute_metrics(trajectory: Trajectory, steady: SteadyState | None = None) -
                           for blk in _blocks(n_samples)] if omega.size else [0.0])
         nadir = float(peaks[np.abs(peaks).argmax()])
 
-    q_r = trajectory.q_r_dev
-    peak = float(np.max([np.abs(q_r[blk]).max() for blk in _blocks(len(q_r))])) if q_r.size else 0.0
+    peaks = [np.abs(q_r).max() for _, q_r, _ in trajectory.blocks() if q_r.size]
+    peak = float(np.max(peaks)) if peaks else 0.0
     metrics = Metrics(
         nadir=nadir,
         settling_frequency=settling,

@@ -5,9 +5,10 @@ Kronecker solve.  The H2 references are meant for small systems (up to
 about 30 states): the Kronecker solve builds a dense d^2 x d^2 system, and
 the quadrature solves one d x d complex system per grid frequency.  The
 reference march is the per-step time-domain loop that gridfreq's
-precomputed-drive march replaced.  The reference metrics summarise a
-whole trajectory with whole-array reductions, as ``compute_metrics`` did
-before it went block by block.  The sweep route evaluates a sweep one
+precomputed-drive march replaced, and ``input_schedule`` writes out the
+inputs it steps.  The reference metrics summarise a whole trajectory with
+whole-array reductions, as ``compute_metrics`` did before it went block by
+block.  The sweep route evaluates a sweep one
 point at a time through the public per-model functions, as sweeps ran
 before they were stacked and before repeated points shared one
 evaluation.  The component finder is a plain breadth-first
@@ -150,6 +151,15 @@ def noise_increments(model, config):
     dw3[0] = dw2[0]
     dw3[1:] = dw2[1:] - dw2[:-1]
     return dw1 @ model.b_w1.T + dw2 @ model.b_w2.T + (dw3 / config.dt) @ model.b_w3.T
+
+
+def input_schedule(model, config):
+    """The per-sample inputs u that reference_march steps: each disturbance
+    is added over the rest of the run, in the order given."""
+    u = np.zeros((int(round(config.horizon / config.dt)) + 1, model.n_buses))
+    for dist in config.disturbances:
+        u[int(np.ceil(dist.time / config.dt - 1e-9)):, dist.bus] += dist.delta_p
+    return u
 
 
 def reference_march(model, config, initial_state=None, increments=None):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -320,9 +321,12 @@ class TestCli:
         omega = np.array([[1.0 / 3.0, -1e-300], [2.0, 123456.789], [-0.0, 7e22]])
         q_r = -theta
         x = np.array([[0.25], [5e-324], [-1e16]])
-        trajectory = Trajectory(times=times, theta_dev=theta, omega_dev=omega, q_r_dev=q_r,
-                                x=x, idroop_buses=(1,), states=np.hstack([theta, omega, x]),
-                                base_omega0=0.0)
+        # q_r = -theta through the power map, x through a zero x_star, and no inputs
+        trajectory = Trajectory(times=times, states=np.hstack([theta, omega, x]),
+                                power=np.hstack([-np.eye(2), np.zeros((2, 3))]),
+                                power_injection=np.zeros((2, 2)), x_star=np.zeros(1),
+                                base_omega0=0.0, idroop_buses=(1,),
+                                event_rows=np.zeros(1, dtype=int), event_inputs=np.zeros((1, 2)))
         path = tmp_path / "trajectory.csv"
         _write_trajectory_csv(path, trajectory, [4, 7])
         lines = ["t,theta_dev_4,theta_dev_7,omega_dev_4,omega_dev_7,q_r_dev_4,q_r_dev_7,x_7"]
@@ -531,6 +535,23 @@ class TestCli:
         path = tmp_path / "undamped.json"
         path.write_text(json.dumps(obj))
         assert main(["h2", "--network", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", ["h2", "modal"])
+    def test_stable_loop_too_slow_to_solve_names_its_rate(self, capsys, tmp_path, command):
+        # Lines of 1e-14 keep the network connected and its loop stable, but the
+        # slowest mode decays at about 3e-14/s, inside the 1e-12 guard: the error
+        # gives that rate as the cause and no advice a command line cannot follow.
+        obj = json.loads(Path(EXAMPLE_DC).read_text())
+        for line in obj["lines"]:
+            line["susceptance"] = 1e-14
+        path = tmp_path / "weak.json"
+        path.write_text(json.dumps(obj))
+        assert main([command, "--network", str(path)]) == 2
+        captured = capsys.readouterr()
+        match = re.fullmatch(r"numerical failure: state matrix has eigenvalues on the imaginary "
+                             r"axis \(max Re = (\S+)\): its slowest mode decays slower than "
+                             r"1e-12/s\n", captured.err)
+        assert match and -1e-12 < float(match[1]) < 0.0 and captured.out == ""
 
 
 DELETE = object()

@@ -24,6 +24,7 @@ from gridfreq import (
     steady_state,
     uniform_fleet,
 )
+from gridfreq.errors import InjectionOverflow
 from gridfreq.sim import BLOCK_STEPS
 from conftest import high_noise, random_connected_network, ten_bus_network
 from oracles import h2_closed_form, lyapunov_diagnostics
@@ -66,17 +67,17 @@ class TestSimConfig:
     @pytest.mark.parametrize("noise", [False, True], ids=["deterministic", "stochastic"])
     def test_memory_bound_counts_the_run_s_peak(self, monkeypatch, ten_bus, idroop_fleet, noise):
         """1000 steps of 30 states and 10 buses hold 0.24 MB of states but
-        0.98 MB at their peak, one block's temporaries included; a machine
-        with memory in between rejects the run, and one with the full need
-        runs it."""
+        0.83 MB at their peak, their times, the metrics' row sums and one
+        block's temporaries included; a machine with memory in between
+        rejects the run, and one with the full need runs it."""
         model = assemble_closed_loop(ten_bus, idroop_fleet)
         config = SimConfig(dt=0.01, horizon=10.0, seed=1 if noise else None, noise_enabled=noise)
         simulate = simulate_stochastic if noise else simulate_deterministic
-        need = (1001 * (30 + 2 * 10 + 1) + (BLOCK_STEPS + 1) * (30 + 4 * 10)) * 8
+        need = (1001 * (30 + 1) + 1002 // 2 + (BLOCK_STEPS + 1) * (30 + 4 * 10)) * 8
         pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 40_000}
         assert 1001 * 30 * 8 < 8 * 40_000 < need
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-        with pytest.raises(ValidationError, match=r"^1e\+03 steps \(horizon / dt\) need 9\.82e\+05 "
+        with pytest.raises(ValidationError, match=r"^1e\+03 steps \(horizon / dt\) need 8\.26e\+05 "
                                                   r"bytes at the run's peak, more than the "
                                                   r"3\.2e\+05 bytes of physical memory$"):
             simulate(model, config)
@@ -87,15 +88,15 @@ class TestSimConfig:
     @pytest.mark.parametrize("noise", [False, True], ids=["deterministic", "stochastic"])
     def test_run_and_metrics_stay_within_the_count(self, ten_bus, idroop_fleet, noise, horizon):
         """tracemalloc's peak over a run and its metrics is at most the bytes
-        that the memory bound counts: d + 2n + 1 floats a step and one block
-        of d + 4n floats a row."""
+        that the memory bound counts: d + 1 floats a step, half a float a step
+        of the metrics' row sums and one block of d + 4n floats a row."""
         model = assemble_closed_loop(ten_bus, idroop_fleet, high_noise(10))
         config = SimConfig(dt=0.01, horizon=horizon, disturbances=STEP,
                            seed=1 if noise else None, noise_enabled=noise)
         simulate = simulate_stochastic if noise else simulate_deterministic
         model.reference  # solved once, outside the trace
         steps = round(horizon / 0.01)
-        count = ((steps + 1) * (30 + 2 * 10 + 1) + (BLOCK_STEPS + 1) * (30 + 4 * 10)) * 8
+        count = ((steps + 1) * (30 + 1) + (steps + 2) // 2 + (BLOCK_STEPS + 1) * (30 + 4 * 10)) * 8
         tracemalloc.start()
         try:
             compute_metrics(simulate(model, config))
@@ -103,6 +104,25 @@ class TestSimConfig:
         finally:
             tracemalloc.stop()
         assert (steps + 1) * 30 * 8 < peak <= count
+
+
+    def test_a_returned_run_holds_its_states_and_times(self, ten_bus, idroop_fleet):
+        """After a 500 s stochastic run returns, tracemalloc finds d + 1 floats
+        a step, the states and the times, and a few small arrays; no other
+        field of the run spans its length."""
+        model = assemble_closed_loop(ten_bus, idroop_fleet, high_noise(10))
+        config = SimConfig(dt=0.01, horizon=500.0, seed=1, noise_enabled=True)
+        simulate_stochastic(model, replace(config, horizon=1.0))  # the reference and numpy.random
+        tracemalloc.start()
+        try:
+            trajectory = simulate_stochastic(model, config)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 50_001 * (30 + 1) * 8 < held <= 50_001 * (30 + 1) * 8 + 16_384
+        spans = [name for name, value in vars(trajectory).items()
+                 if np.ndim(value) and len(value) == 50_001]
+        assert spans == ["times", "states"]
 
 
 class TestDisturbance:
@@ -145,6 +165,41 @@ class TestDeterministic:
         model = assemble_closed_loop(ten_bus, dc_fleet)
         with pytest.raises(ValidationError, match="bus 3 sum to a non-finite injection"):
             simulate_deterministic(model, SimConfig(dt=0.01, horizon=3.0, disturbances=steps))
+
+    def test_overflow_in_a_later_block_names_the_bus_before_any_block(
+            self, monkeypatch, ten_bus, dc_fleet):
+        # Bus 5's sums overflow in rows 100-199, in the first block, and bus
+        # 3's from row 2100 on, in the third.  As a check of the whole run
+        # would, the error names bus 3, and it comes before any block is
+        # marched or any array of the run's length is allocated.
+        import gridfreq.sim
+
+        steps = (Disturbance(1.0, 5, 1e308), Disturbance(2.0, 5, -1e308),
+                 Disturbance(1.0, 5, 1e308), Disturbance(21.0, 3, 1e308),
+                 Disturbance(21.0, 3, 1e308))
+        model = assemble_closed_loop(ten_bus, dc_fleet)
+        config = SimConfig(dt=0.01, horizon=SEAMS_HORIZON, disturbances=steps)
+        with pytest.raises(InjectionOverflow):  # any lazy import happens outside the trace
+            simulate_deterministic(model, config)
+        blocks = gridfreq.sim._blocks
+        started = []
+
+        def counted(n_rows, start=0):
+            for blk in blocks(n_rows, start):
+                started.append(blk)
+                yield blk
+
+        monkeypatch.setattr(gridfreq.sim, "_blocks", counted)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InjectionOverflow, match="bus 3 sum") as excinfo:
+                simulate_deterministic(model, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert excinfo.value.bus == 3
+        assert started == []
+        assert peak < (3 * BLOCK_STEPS + 18) * 8  # less than one float a sample
 
     def test_equilibrium_start_stays_at_zero(self, ten_bus, dc_fleet):
         model = assemble_closed_loop(ten_bus, dc_fleet)
@@ -319,6 +374,29 @@ class TestMarchAgainstReference:
         assert np.array_equal(trajectory.states, reference)
         assert np.array_equal(trajectory.q_r_dev, reference @ model.power.T)
 
+    @pytest.mark.parametrize("noise", [False, True], ids=["deterministic", "stochastic"])
+    def test_power_trace_reads_inputs_that_change_on_block_seams(self, ten_bus, noise):
+        """A VI fleet's power trace reads the inputs too.  With steps that start
+        on rows that start blocks, the event table holds one row per start and
+        expands to the inputs row for row, and q_r_dev is bitwise the
+        whole-array product of the states and the inputs."""
+        model = assemble_closed_loop(ten_bus, uniform_fleet(10, "VI", **FLEETS["VI"]),
+                                     high_noise(10))
+        assert np.any(model.power_injection)
+        steps = tuple(Disturbance(row * 0.01, bus, delta_p) for row, bus, delta_p in [
+            (BLOCK_STEPS, 9, -0.5), (2 * BLOCK_STEPS, 3, 0.25), (2 * BLOCK_STEPS, 9, 0.125),
+            (3 * BLOCK_STEPS, 9, 0.5)])
+        config = SimConfig(dt=0.01, horizon=SEAMS_HORIZON, disturbances=steps, seed=5,
+                           noise_enabled=noise)
+        trajectory = (simulate_stochastic if noise else simulate_deterministic)(model, config)
+        u = oracles.input_schedule(model, config)
+        rows = [0, BLOCK_STEPS, 2 * BLOCK_STEPS, 3 * BLOCK_STEPS]
+        assert trajectory.event_rows.tolist() == rows
+        assert np.array_equal(
+            np.repeat(trajectory.event_inputs, np.diff([*rows, len(u)]), axis=0), u)
+        assert np.array_equal(trajectory.q_r_dev,
+                              trajectory.states @ model.power.T + u @ model.power_injection.T)
+
     def test_rejects_non_finite_initial_state(self, ten_bus, dc_fleet):
         model = assemble_closed_loop(ten_bus, dc_fleet)
         start = np.zeros(model.n_states)
@@ -476,17 +554,25 @@ class TestMetricsAgainstReference:
 
 class TestMetrics:
     def make_trajectory(self, times, omega, q_r=None, base_omega0=0.0):
+        """A trajectory of zero angles whose omega_dev is ``omega`` and whose
+        q_r_dev is ``q_r`` (zeros by default): the power map reads nothing of
+        the states, and q_r comes in as the inputs, one event a row, through
+        an identity injection map."""
         n = omega.shape[1]
-        zeros = np.zeros_like(omega)
+        if q_r is None:
+            rows, inputs = np.zeros(1, dtype=int), np.zeros((1, n))
+        else:
+            rows, inputs = np.arange(len(q_r)), q_r
         return Trajectory(
             times=times,
-            theta_dev=zeros,
-            omega_dev=omega,
-            q_r_dev=q_r if q_r is not None else zeros,
-            x=np.zeros((omega.shape[0], 0)),
-            idroop_buses=(),
-            states=np.hstack([zeros, omega]),
+            states=np.hstack([np.zeros_like(omega), omega]),
+            power=np.zeros((n, 2 * n)),
+            power_injection=np.eye(n),
+            x_star=np.zeros(0),
             base_omega0=base_omega0,
+            idroop_buses=(),
+            event_rows=rows,
+            event_inputs=inputs,
         )
 
     def test_zero_trajectory_zero_metrics(self):
