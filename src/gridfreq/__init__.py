@@ -8,6 +8,14 @@ Library layout: :mod:`gridfreq.network` (graph, Laplacian, Kron reduction),
 :mod:`gridfreq.io` / :mod:`gridfreq.cli` (documents and the command line).
 """
 
+import os
+
+# One BLAS thread unless the caller sets another count: more threads make no
+# gridfreq workload faster, and they change the last digits of load-bus
+# documents' outputs.  OpenBLAS reads this when numpy first loads it, so it
+# must come before any import of numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .analysis import (
     H2Result,
     ModalDecomposition,

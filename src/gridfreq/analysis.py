@@ -17,12 +17,13 @@ the real Schur form that LAPACK trsyl then solves on.  It rejects non-finite
 input, state matrices with eigenvalues on or right of the imaginary axis
 and solutions whose residual is not small.  The route also takes stacks of
 closed loops, as a sweep or the modes of a homogeneous fleet build them:
-everything but the factorisation, the solve and the products around it runs
-once per stack, and every guard still judges each point.
+the shift, the feedthrough and B_eff are formed once per stack, then each
+point in turn is solved and judged, and the first failing point raises.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,124 +69,98 @@ class H2Result:
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve A^T X + X A + Q = 0 by the Bartels-Stewart algorithm.
 
-    A and Q are (d, d), or (P, d, d) stacks of P equations solved point by
-    point.  A and Q must be finite and A Hurwitz; eigenvalues on or right
-    of the imaginary axis are rejected (shift structural zero modes away
-    before calling), and so is a solution whose residual exceeds
-    1e-8 * ||Q||.  On a stack the first failing point raises, and the
-    error's ``point`` is its index.  Each A is factored once: the Hurwitz
-    test reads the spectrum off the real Schur form R = U^T A^T U that
-    LAPACK trsyl then solves on.
+    A and Q are (d, d).  A and Q must be finite and A Hurwitz; eigenvalues
+    on or right of the imaginary axis are rejected (shift structural zero
+    modes away before calling), and so is a solution whose residual exceeds
+    1e-8 * ||Q||.  (P, d, d) stacks of P equations are solved one point
+    after another, and the first failing point raises with its index as
+    the error's ``point``.  Each A is factored once: the Hurwitz test reads
+    the spectrum off the real Schur form R = U^T A^T U that LAPACK trsyl
+    then solves on.
     """
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or q.shape != a.shape:
         raise ValidationError(f"shape mismatch: A {a.shape}, Q {q.shape}")
-    if a.ndim == 2:
-        return solve_lyapunov(a[None], q[None])[0]
-    x, failure = _solve_prefix(a, q)
-    if failure is not None:
-        raise failure
-    return x
-
-
-def _solve_prefix(a: np.ndarray, q: np.ndarray):
-    """:func:`solve_lyapunov` of a (P, d, d) stack that stops at the first
-    failing point: the solutions of the points before it, and its
-    NumericalError (None when every point passes)."""
+    if a.ndim == 3:
+        x = np.empty(a.shape)
+        for point in range(len(a)):
+            try:
+                x[point] = solve_lyapunov(a[point], q[point])
+            except NumericalError as exc:
+                raise NumericalError(str(exc), point) from None
+        return x
+    if not a.shape[-1]:
+        return np.empty(a.shape)
+    if not (np.isfinite(a).all() and np.isfinite(q).all()):
+        raise NumericalError("state or weight matrix has non-finite entries; the model overflows")
     import scipy.linalg  # imported here: commands with no Lyapunov solve never load it
 
-    if not a.shape[-1]:
-        return np.empty(a.shape), None
-    finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(q).all(axis=(1, 2))
-    x = np.empty(a.shape)
-    solved, failure = 0, None
-    for point in range(len(a)):
-        if not finite[point]:
-            failure = NumericalError(
-                "state or weight matrix has non-finite entries; the model overflows", point)
-            break
-        r, u = scipy.linalg.schur(a[point].T, output="real", check_finite=False)
-        # LAPACK standardises each 2x2 block to equal diagonal entries, so the
-        # diagonal of R holds the real part of every eigenvalue.
-        worst = float(r.diagonal().max())
-        if worst > 1e-12:
-            failure = NumericalError(
-                f"state matrix has eigenvalues in the right half-plane (max Re = {worst:.3e})",
-                point)
-            break
-        if worst > -1e-12:
-            failure = NumericalError(
-                f"state matrix has eigenvalues on the imaginary axis (max Re = {worst:.3e}): "
-                "its slowest mode decays slower than 1e-12/s", point)
-            break
-        # R Y + Y R^T = -U^T Q U with Y = U^T X U; a perturbed solve (info 1) is
-        # left to the residual guard
-        y, scale, _ = scipy.linalg.lapack.dtrsyl(r, r, u.T @ (-q[point] @ u), tranb="T")
-        x[point] = u @ (scale * y) @ u.T
-        solved += 1
-    x = x[:solved]
-    x = 0.5 * (x + x.transpose(0, 2, 1))
-    a, q = a[:solved], q[:solved]
-    residual = np.linalg.norm(a.transpose(0, 2, 1) @ x + x @ a + q, axis=(1, 2))
-    bound = 1e-8 * np.maximum(np.linalg.norm(q, axis=(1, 2)), 1e-30)
-    over = np.flatnonzero(residual > bound)
-    if over.size:
-        point = int(over[0])
-        failure = NumericalError(f"Lyapunov residual {residual[point]:.3e} exceeds "
-                                 f"{bound[point]:.3e}; system too ill-conditioned", point)
-        x = x[:point]
-    return x, failure
+    r, u = scipy.linalg.schur(a.T, output="real", check_finite=False)
+    # LAPACK standardises each 2x2 block to equal diagonal entries, so the
+    # diagonal of R holds the real part of every eigenvalue.
+    worst = float(r.diagonal().max())
+    if worst > 1e-12:
+        raise NumericalError(
+            f"state matrix has eigenvalues in the right half-plane (max Re = {worst:.3e})")
+    if worst > -1e-12:
+        raise NumericalError(
+            f"state matrix has eigenvalues on the imaginary axis (max Re = {worst:.3e}): "
+            "its slowest mode decays slower than 1e-12/s")
+    # R Y + Y R^T = -U^T Q U with Y = U^T X U; a perturbed solve (info 1) is
+    # left to the residual guard
+    y, scale, _ = scipy.linalg.lapack.dtrsyl(r, r, u.T @ (-q @ u), tranb="T")
+    x = u @ (scale * y) @ u.T
+    x = 0.5 * (x + x.T)
+    residual = float(np.linalg.norm(a.T @ x + x @ a + q))
+    bound = 1e-8 * max(float(np.linalg.norm(q)), 1e-30)
+    if residual > bound:
+        raise NumericalError(f"Lyapunov residual {residual:.3e} exceeds {bound:.3e}; "
+                             "system too ill-conditioned")
+    return x
 
 
 def _h2(a, b, c, null_vector):
     """Squared H2 norm of (A, [B1 | B2 | B3], C) with w3 = s*w2.
 
     A (d, d), B (d, 3k) and C (n, d) give one :class:`H2Result`; stacks
-    (P, d, d), (P, d, 3k) and (P, n, d) give a list of P, and the first
-    failing point raises with its index as the error's ``point``.  B holds
-    the three noise channels in equal column blocks.  A unit
-    ``null_vector`` v with A v = 0 and C v = 0 at every point marks the
-    unobservable zero mode; A - v v^T moves it to -1 and realizes the same
-    transfer function.  The shift leaves A B3 unchanged because v^T B3 = 0.
+    (P, d, d), (P, d, 3k) and (P, n, d) give a list of P.  B holds the
+    three noise channels in equal column blocks.  A unit ``null_vector`` v
+    with A v = 0 and C v = 0 at every point marks the unobservable zero
+    mode; A - v v^T moves it to -1 and realizes the same transfer function.
+    The shift leaves A B3 unchanged because v^T B3 = 0.  The products that
+    cannot fail are formed once per stack; the points are then judged in
+    order, each by the feedthrough, :func:`solve_lyapunov` and the norm,
+    and the first failing point raises with its index as ``point``.
     """
     if np.ndim(a) == 2:
         return _h2(a[None], b[None], c[None], null_vector)[0]
     k = b.shape[-1] // 3
-    with np.errstate(over="ignore", invalid="ignore"):
-        feedthrough = c @ b[..., 2 * k :]
-    results, failure = [], None
-    for point, block in enumerate(feedthrough):
-        if not np.isfinite(block).all():
-            failure = NumericalError(
-                "noise input matrix has non-finite entries; the model overflows", point)
-            break
-        gain = float(np.linalg.norm(block, 2)) if block.any() else 0.0
-        results.append(H2Result(kind="infinite", feedthrough_gain=gain)
-                       if gain > FEEDTHROUGH_TOL else None)
-    finite = [point for point, result in enumerate(results) if result is None]
-    if not finite and failure is None:
-        return results
-    if len(finite) < len(a):
-        a, b, c = a[finite], b[finite], c[finite]
     if null_vector is not None:
         a = a - np.outer(null_vector, null_vector)
-    # the points before a failing one still pass through the norm guard below
-    x, unsolved = _solve_prefix(a, c.transpose(0, 2, 1) @ c)
-    if unsolved is not None:
-        failure = NumericalError(str(unsolved), finite[unsolved.point])
-    b = b[: len(x)]
     with np.errstate(over="ignore", invalid="ignore"):
-        b_eff = np.concatenate([b[..., :k], b[..., k : 2 * k] + a[: len(x)] @ b[..., 2 * k :]],
-                               axis=-1)
-        values = np.trace(b_eff.transpose(0, 2, 1) @ x @ b_eff, axis1=1, axis2=2)
-    for point, value in zip(finite, values.tolist()):
-        if not np.isfinite(value):
+        feedthrough = c @ b[..., 2 * k :]
+        b_eff = np.concatenate([b[..., :k], b[..., k : 2 * k] + a @ b[..., 2 * k :]], axis=-1)
+        q = c.transpose(0, 2, 1) @ c
+    results = []
+    for point, block in enumerate(feedthrough):
+        if not np.isfinite(block).all():
+            raise NumericalError(
+                "noise input matrix has non-finite entries; the model overflows", point)
+        gain = float(np.linalg.norm(block, 2)) if block.any() else 0.0
+        if gain > FEEDTHROUGH_TOL:
+            results.append(H2Result(kind="infinite", feedthrough_gain=gain))
+            continue
+        try:
+            x = solve_lyapunov(a[point], q[point])
+        except NumericalError as exc:
+            raise NumericalError(str(exc), point) from None
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float((b_eff[point].T @ x @ b_eff[point]).trace())
+        if not math.isfinite(value):
             raise NumericalError(
                 f"squared H2 norm is not finite ({value}); the noise overflows it", point)
-        results[point] = H2Result(kind="finite", value=max(value, 0.0))
-    if failure is not None:
-        raise failure
+        results.append(H2Result(kind="finite", value=max(value, 0.0)))
     return results
 
 

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
+import numpy as np
+
 from .errors import ValidationError
 
 __all__ = [
@@ -28,6 +30,18 @@ __all__ = [
 # Condition values closer to zero than this are flagged "marginal"; the
 # certificate requires strict positivity, so they fail either way.
 MARGINAL_TOL = 1e-12
+
+
+def _is_finite(value) -> bool:
+    """True for a real number that a float holds finitely; False for a bool,
+    NaN, an infinity, an int past the float range and anything that is not a
+    number."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 class InverterMode(str, Enum):
@@ -60,7 +74,7 @@ class InverterConfig:
         mode = self.mode
         for name in ("q0", "r_r", "m_v", "delta", "nu"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is not None and not _is_finite(value):
                 raise ValidationError(f"{mode.value} inverter {name} must be finite, got {value}")
         if mode in (InverterMode.DC, InverterMode.VI, InverterMode.IDROOP):
             if self.r_r is None or self.r_r <= 0:
@@ -114,7 +128,7 @@ class NoiseGains:
     def __post_init__(self):
         for name in ("k1", "k2", "k3"):
             value = getattr(self, name)
-            if not 0 <= value < math.inf:
+            if not (_is_finite(value) and value >= 0):
                 raise ValidationError(f"noise gain {name} must be finite and >= 0, got {value}")
 
 

@@ -31,12 +31,12 @@ whenever the metrics, the CSV writer or a caller reads them.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .control import _is_finite
 from .dynamics import StateSpaceModel, SteadyState
 from .errors import InjectionOverflow, NumericalError, SimulationDiverged, ValidationError
 
@@ -64,15 +64,6 @@ def _blocks(n_rows: int, start: int = 0):
 def _is_integer(value) -> bool:
     """True for an int, numpy's included, and False for a bool."""
     return not isinstance(value, bool) and isinstance(value, (int, np.integer))
-
-
-def _is_finite(value) -> bool:
-    """True for a real number that a float holds finitely; False for NaN, an
-    infinity, an int past the float range and anything that is not a number."""
-    try:
-        return math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
 
 
 @dataclass(frozen=True)

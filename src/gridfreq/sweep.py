@@ -9,13 +9,13 @@ loop, so each distinct point is evaluated once, in the grid order of its
 first occurrence, and its value is copied to the points that repeat it: a
 droop fleet's delta x nu grid is one point.  An h2 sweep builds its closed
 loops as stacks of distinct points, writing the swept values into the
-fleet's parameter arrays, and evaluates each stack in one H2 pass: only the
-Schur factorisation, the trsyl solve and the products around it run point
-by point.  Stacks are cut into chunks under a fixed byte budget, so a large
-network's sweep never holds all its points' matrices at once.  A nadir
-sweep builds and runs one model per distinct point, because the march
-dominates it.  A numerical failure names the first grid point where it
-occurs.
+fleet's parameter arrays, and evaluates each stack in one H2 pass, which
+forms the products that cannot fail once per stack and then solves its
+points in order.  Stacks are cut into chunks under a fixed byte budget, so
+a large network's sweep never holds all its points' matrices at once.  A
+nadir sweep builds and runs one model per distinct point, because the
+march dominates it.  A numerical failure names the first grid point where
+it occurs.
 """
 
 from __future__ import annotations

@@ -45,7 +45,12 @@ class TestInverterConfig:
         (lambda: NoiseGains(k1=NAN), "noise gain k1 must be finite and >= 0, got nan"),
         (lambda: NoiseGains(k2=NAN), "noise gain k2 must be finite and >= 0, got nan"),
         (lambda: NoiseGains(k3=float("inf")), "noise gain k3 must be finite and >= 0, got inf"),
-    ], ids=["q0", "r_r", "m_v", "delta", "nu", "nu-inf", "k1", "k2", "k3-inf"])
+        (lambda: InverterConfig(mode="DC", r_r=True), "DC inverter r_r must be finite, got True"),
+        (lambda: InverterConfig.droop(q0=np.bool_(False)),
+         "DC inverter q0 must be finite, got False"),
+        (lambda: NoiseGains(k1=True), "noise gain k1 must be finite and >= 0, got True"),
+    ], ids=["q0", "r_r", "m_v", "delta", "nu", "nu-inf", "k1", "k2", "k3-inf", "r_r-bool",
+            "q0-numpy-bool", "k1-bool"])
     def test_non_finite_parameters_named(self, build, message):
         with pytest.raises(ValidationError) as excinfo:
             build()

@@ -248,6 +248,31 @@ def test_outputs_agree_across_blas_thread_counts(tmp_path):
     np.testing.assert_allclose(two, one, rtol=1e-10, atol=0.0)
 
 
+def test_one_blas_thread_unless_the_caller_sets_a_count(tmp_path):
+    # With the variable unset, importing gridfreq chooses one thread, so the
+    # bytes are those of OPENBLAS_NUM_THREADS=1 on any machine.
+    network, spec = tmp_path / "net.json", tmp_path / "sweep.json"
+    network.write_text(json.dumps(mixed_doc_obj()))
+    spec.write_text(json.dumps({"axes": [{"name": "delta", "min": 2.0, "max": 8.0, "count": 2}],
+                                "metric": "h2"}))
+    src = str(Path(gridfreq.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    runs = []
+    for name, threads in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        (tmp_path / name).mkdir()
+        runs.append(subprocess.Popen(
+            [sys.executable, "-c", H2_AND_SWEEP, str(network), str(spec), str(tmp_path / name)],
+            env={**env, **threads}, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    outputs = [run.communicate() for run in runs]
+    for run, (_, stderr) in zip(runs, outputs):
+        assert run.returncode == 0, stderr
+    assert outputs[0][0] == outputs[1][0]
+    assert ((tmp_path / "unset" / "sweep.csv").read_bytes()
+            == (tmp_path / "one" / "sweep.csv").read_bytes())
+
+
 class TestCli:
     def test_h2_all_vi_reports_infinite(self, capsys):
         assert main(["h2", "--network", EXAMPLE_VI]) == 0
@@ -552,6 +577,19 @@ class TestCli:
                              r"axis \(max Re = (\S+)\): its slowest mode decays slower than "
                              r"1e-12/s\n", captured.err)
         assert match and -1e-12 < float(match[1]) < 0.0 and captured.out == ""
+
+    def test_overflowing_noise_norm_exits_two(self, capsys, tmp_path):
+        # k1 = 1e200 on every bus leaves the loop stable and the noise input
+        # finite, but the squared norm's k1^2 terms overflow
+        obj = json.loads(Path(EXAMPLE_DC).read_text())
+        for gains in obj["noise"]:
+            gains["k1"] = 1e200
+        path = tmp_path / "loud.json"
+        path.write_text(json.dumps(obj))
+        assert main(["h2", "--network", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: squared H2 norm is not finite")
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 DELETE = object()

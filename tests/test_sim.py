@@ -55,7 +55,8 @@ class TestSimConfig:
         with pytest.raises(ValidationError):
             SimConfig(dt=0.1, horizon=1.0, disturbances=(Disturbance(5.0, 0, 1.0),))
         for dt, horizon in [(np.nan, 1.0), (np.inf, np.inf), (0.01, np.inf), (0.01, np.nan),
-                            ("0.01", 1.0), (None, 1.0), (0.01, "1.0"), (0.01, None)]:
+                            ("0.01", 1.0), (None, 1.0), (0.01, "1.0"), (0.01, None),
+                            (True, 1.0), (0.01, True)]:
             with pytest.raises(ValidationError, match="must be finite"):
                 SimConfig(dt=dt, horizon=horizon)
         for seed in ["3", 3.0, True]:
@@ -137,6 +138,7 @@ class TestDisturbance:
         (2, -np.inf, "disturbance delta_p must be finite, got -inf"),
         (2, "x", "disturbance delta_p must be finite, got x"),
         (2, None, "disturbance delta_p must be finite, got None"),
+        (2, False, "disturbance delta_p must be finite, got False"),
         pytest.param(2, 10**400, "disturbance delta_p must be finite, got 10{400}",
                      id="2-int-past-the-float-range"),
     ])
@@ -144,7 +146,7 @@ class TestDisturbance:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             Disturbance(time=1.0, bus=bus, delta_p=delta_p)
 
-    @pytest.mark.parametrize("time", ["1.0", None, np.nan, np.inf])
+    @pytest.mark.parametrize("time", ["1.0", None, np.nan, np.inf, True])
     def test_rejects_a_time_that_is_not_a_finite_number(self, time):
         with pytest.raises(ValidationError, match=f"^disturbance time must be finite, got {time}$"):
             Disturbance(time=time, bus=2, delta_p=-0.5)

@@ -162,6 +162,17 @@ def test_failure_after_infinite_points_names_its_grid_point():
         run_sweep(network, configs, noise, spec)
 
 
+def test_overflowing_norm_before_an_unstable_point_names_the_norm():
+    """Point 0's noise overflows its norm and point 1 is not Hurwitz: a stack
+    stops at its first failing point, whichever guard judges it."""
+    network, configs, _ = bundled("example-10bus-dc.json")
+    noise = [NoiseGains(k1=1e200)] * network.n_buses
+    spec = SweepSpec(axes=(SweepAxis("r_r", 15.0, 1e-300, 2),), metric="h2")
+    with pytest.raises(NumericalError, match=r"^sweep point 0 \(r_r=15\.0\): squared H2 norm "
+                                             r"is not finite \(inf\); the noise overflows it$"):
+        run_sweep(network, configs, noise, spec)
+
+
 STEP = SimConfig(dt=0.01, horizon=5.0, disturbances=(Disturbance(1.0, 7, -0.5),))
 DELTA_NU = SweepSpec(axes=(SweepAxis("delta", 1.0, 8.0, 6), SweepAxis("nu", 0.1, 1.5, 6, "log")),
                      metric="h2")
