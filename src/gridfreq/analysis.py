@@ -71,26 +71,16 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     A and Q are (d, d).  A and Q must be finite and A Hurwitz; eigenvalues
     on or right of the imaginary axis are rejected (shift structural zero
-    modes away before calling), and so is a solution whose residual exceeds
-    1e-8 * ||Q||.  (P, d, d) stacks of P equations are solved one point
-    after another, and the first failing point raises with its index as
-    the error's ``point``.  Each A is factored once: the Hurwitz test reads
-    the spectrum off the real Schur form R = U^T A^T U that LAPACK trsyl
-    then solves on.
+    modes away before calling), and so are a solution that overflows and
+    one whose residual exceeds 1e-8 * ||Q||.  A is factored once: the
+    Hurwitz test reads the spectrum off the real Schur form
+    R = U^T A^T U that LAPACK trsyl then solves on.
     """
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or q.shape != a.shape:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or q.shape != a.shape:
         raise ValidationError(f"shape mismatch: A {a.shape}, Q {q.shape}")
-    if a.ndim == 3:
-        x = np.empty(a.shape)
-        for point in range(len(a)):
-            try:
-                x[point] = solve_lyapunov(a[point], q[point])
-            except NumericalError as exc:
-                raise NumericalError(str(exc), point) from None
-        return x
-    if not a.shape[-1]:
+    if not a.shape[0]:
         return np.empty(a.shape)
     if not (np.isfinite(a).all() and np.isfinite(q).all()):
         raise NumericalError("state or weight matrix has non-finite entries; the model overflows")
@@ -107,13 +97,17 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise NumericalError(
             f"state matrix has eigenvalues on the imaginary axis (max Re = {worst:.3e}): "
             "its slowest mode decays slower than 1e-12/s")
-    # R Y + Y R^T = -U^T Q U with Y = U^T X U; a perturbed solve (info 1) is
-    # left to the residual guard
+    # R Y + Y R^T = -scale * U^T Q U with Y = scale * U^T X U: trsyl scales
+    # the right-hand side down where Y would overflow.  A perturbed solve
+    # (info 1) is left to the residual guard.
     y, scale, _ = scipy.linalg.lapack.dtrsyl(r, r, u.T @ (-q @ u), tranb="T")
-    x = u @ (scale * y) @ u.T
-    x = 0.5 * (x + x.T)
-    residual = float(np.linalg.norm(a.T @ x + x @ a + q))
-    bound = 1e-8 * max(float(np.linalg.norm(q)), 1e-30)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = u @ (y / scale) @ u.T
+        x = 0.5 * (x + x.T)
+        if not np.isfinite(x).all():
+            raise NumericalError("Lyapunov solution overflows; system too ill-conditioned")
+        residual = float(np.linalg.norm(a.T @ x + x @ a + q))
+        bound = 1e-8 * max(float(np.linalg.norm(q)), 1e-30)
     if residual > bound:
         raise NumericalError(f"Lyapunov residual {residual:.3e} exceeds {bound:.3e}; "
                              "system too ill-conditioned")

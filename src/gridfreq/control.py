@@ -10,6 +10,7 @@ themselves are written down once, as matrices, in :mod:`gridfreq.dynamics`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -44,6 +45,29 @@ def _is_finite(value) -> bool:
         return False
 
 
+def _is_integer(value) -> bool:
+    """True for an int, numpy's included, and False for a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
+def _require(condition, message):
+    if not condition:
+        raise ValidationError(message)
+
+
+def _finite(value, field: str) -> float:
+    """A real number (not a string or boolean) as a finite float; errors name the field."""
+    _require(isinstance(value, numbers.Real) and not isinstance(value, bool),
+             f"{field}: must be a number")
+    _require(_is_finite(value), f"{field}: must be finite")
+    return float(value)
+
+
+def _integer(value, field: str) -> int:
+    _require(_is_integer(value), f"{field}: must be an integer")
+    return int(value)
+
+
 class InverterMode(str, Enum):
     CP = "CP"
     DC = "DC"
@@ -70,29 +94,32 @@ class InverterConfig:
     nu: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", InverterMode(self.mode))
+        try:
+            object.__setattr__(self, "mode", InverterMode(self.mode))
+        except ValueError:
+            raise ValidationError(f"unknown inverter mode {self.mode!r}; expected one of "
+                                  f"{[m.value for m in InverterMode]}") from None
         mode = self.mode
         for name in ("q0", "r_r", "m_v", "delta", "nu"):
             value = getattr(self, name)
             if value is not None and not _is_finite(value):
                 raise ValidationError(f"{mode.value} inverter {name} must be finite, got {value}")
         if mode in (InverterMode.DC, InverterMode.VI, InverterMode.IDROOP):
-            if self.r_r is None or self.r_r <= 0:
-                raise ValidationError(f"{mode.value} inverter requires r_r > 0")
+            _require(self.r_r is not None and self.r_r > 0,
+                     f"{mode.value} inverter requires r_r > 0")
             if not math.isfinite(1.0 / self.r_r):
                 raise ValidationError(f"{mode.value} inverter r_r {self.r_r} has no finite inverse")
         if mode is InverterMode.VI:
-            if self.m_v is None or self.m_v < 0:
-                raise ValidationError("VI inverter requires m_v >= 0")
-        elif self.m_v is not None:
-            raise ValidationError(f"m_v is meaningless for mode {mode.value}")
+            _require(self.m_v is not None and self.m_v >= 0, "VI inverter requires m_v >= 0")
+        else:
+            _require(self.m_v is None, f"m_v is meaningless for mode {mode.value}")
         if mode is InverterMode.IDROOP:
-            if self.delta is None or self.delta <= 0:
-                raise ValidationError("IDROOP inverter requires delta > 0")
-            if self.nu is None or self.nu < 0:
-                raise ValidationError("IDROOP inverter requires nu >= 0")
-        elif self.delta is not None or self.nu is not None:
-            raise ValidationError(f"delta/nu are meaningless for mode {mode.value}")
+            _require(self.delta is not None and self.delta > 0,
+                     "IDROOP inverter requires delta > 0")
+            _require(self.nu is not None and self.nu >= 0, "IDROOP inverter requires nu >= 0")
+        else:
+            _require(self.delta is None and self.nu is None,
+                     f"delta/nu are meaningless for mode {mode.value}")
 
     @classmethod
     def constant_power(cls, q0=0.0):
@@ -134,7 +161,7 @@ class NoiseGains:
 
 def uniform_fleet(n: int, mode, **params) -> list[InverterConfig]:
     """Build n identical inverter configs (convenience for tests and sweeps)."""
-    cfg = InverterConfig(mode=InverterMode(mode), **params)
+    cfg = InverterConfig(mode=mode, **params)
     return [replace(cfg) for _ in range(n)]
 
 

@@ -9,15 +9,14 @@ JSON reader, and their schema errors name the field in the same way.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .control import InverterConfig, InverterMode, NoiseGains
+from .control import InverterConfig, InverterMode, NoiseGains, _finite, _integer, _require
 from .errors import ValidationError
 from .network import Bus, Line, PowerNetwork, kron_reduce_network
 from .sim import Disturbance
-from .sweep import AXIS_NAMES, SweepAxis, SweepSpec
+from .sweep import SweepAxis, SweepSpec
 
 __all__ = [
     "NetworkDocument",
@@ -60,29 +59,6 @@ class ReducedSystem:
         return sorted(self.id_map, key=self.id_map.get)
 
 
-def _require(condition, message):
-    if not condition:
-        raise ValidationError(message)
-
-
-def _finite(value, field: str) -> float:
-    """A JSON number (not a string or boolean) as a finite float."""
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"{field}: must be a number")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        number = math.inf
-    _require(math.isfinite(number), f"{field}: must be finite")
-    return number
-
-
-def _integer(value, field: str) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"{field}: must be an integer")
-    return value
-
-
 def _mode(value, field: str) -> InverterMode:
     modes = [m.value for m in InverterMode]
     _require(value in modes, f"{field}: unknown mode {value!r}; expected one of {modes}")
@@ -92,8 +68,10 @@ def _mode(value, field: str) -> InverterMode:
 _REQUIRED = object()
 
 
-def _field(entry: dict, key: str, where: str, convert, default=_REQUIRED):
-    """entry[key] through convert; an absent or null key takes the default."""
+def _field(entry: dict, key: str, where: str, convert=lambda value, field: value,
+           default=_REQUIRED):
+    """entry[key] through convert (as it is by default); an absent or null key
+    takes the default."""
     if entry.get(key) is None:
         _require(default is not _REQUIRED, f"{where}.{key}: missing")
         return default
@@ -121,7 +99,7 @@ def parse_document(obj: dict) -> NetworkDocument:
     buses = [
         Bus(
             id=_field(entry, "id", where, _integer),
-            kind=_field(entry, "kind", where, lambda value, _: value, "generator"),
+            kind=_field(entry, "kind", where, default="generator"),
             inertia=_field(entry, "inertia", where, _finite, None),
             damping=_field(entry, "damping", where, _finite, 0.0),
             governor_droop=_field(entry, "governor_droop", where, _finite, None),
@@ -182,29 +160,18 @@ def parse_document(obj: dict) -> NetworkDocument:
 
 
 def parse_sweep_spec(obj: dict) -> SweepSpec:
-    """Build a sweep spec from a decoded JSON object; errors name the field,
-    e.g. ``axes[0].min: missing``."""
+    """Map a decoded JSON object onto a :class:`SweepSpec`, which checks the
+    sweep's rules.  Errors name the field, e.g. ``axes[0].min: missing``."""
     _require(isinstance(obj, dict), "sweep spec root must be an object")
-    entries = list(_entries(obj, "axes"))
-    _require(1 <= len(entries) <= 2, "sweep needs one or two axes")
-    axes = []
-    for where, entry in entries:
-        name = entry.get("name")
-        _require(name in AXIS_NAMES,
-                 f"{where}.name: unknown sweep axis {name!r}; expected one of {AXIS_NAMES}")
-        count = _field(entry, "count", where, _integer)
-        _require(count >= 2, f"{where}.count: must be >= 2")
-        spacing = entry.get("spacing", "linear")
-        _require(spacing in ("linear", "log"), f"{where}.spacing: must be linear or log")
-        minimum, maximum = (_field(entry, key, where, _finite) for key in ("min", "max"))
-        _require(spacing == "linear" or (minimum > 0 and maximum > 0),
-                 f"{where}: log spacing needs positive bounds")
-        axes.append(SweepAxis(name=name, minimum=minimum, maximum=maximum,
-                              count=count, spacing=spacing))
-    metric = obj.get("metric")
-    _require(metric in ("h2", "nadir"),
-             f"metric: unknown sweep metric {metric!r}; expected h2 or nadir")
-    return SweepSpec(axes=tuple(axes), metric=metric)
+    axes = tuple(
+        SweepAxis(name=entry.get("name"),
+                  count=_field(entry, "count", where),
+                  minimum=_field(entry, "min", where),
+                  maximum=_field(entry, "max", where),
+                  spacing=entry.get("spacing", "linear"))
+        for where, entry in _entries(obj, "axes")
+    )
+    return SweepSpec(axes=axes, metric=obj.get("metric"))
 
 
 def _read_json(path):

@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .control import _is_finite
+from .control import _is_finite, _is_integer, _require
 from .dynamics import StateSpaceModel, SteadyState
 from .errors import InjectionOverflow, NumericalError, SimulationDiverged, ValidationError
 
@@ -61,11 +61,6 @@ def _blocks(n_rows: int, start: int = 0):
     return [slice(a, b) for a, b in zip([start, *stops], stops)]
 
 
-def _is_integer(value) -> bool:
-    """True for an int, numpy's included, and False for a bool."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
-
-
 @dataclass(frozen=True)
 class Disturbance:
     """Step change of the power injection at one bus, applied from the first
@@ -76,11 +71,9 @@ class Disturbance:
     delta_p: float
 
     def __post_init__(self):
-        if not _is_integer(self.bus):
-            raise ValidationError(f"disturbance bus must be an integer, got {self.bus!r}")
+        _require(_is_integer(self.bus), f"disturbance bus must be an integer, got {self.bus!r}")
         for name, value in (("time", self.time), ("delta_p", self.delta_p)):
-            if not _is_finite(value):
-                raise ValidationError(f"disturbance {name} must be finite, got {value}")
+            _require(_is_finite(value), f"disturbance {name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -93,19 +86,17 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "disturbances", tuple(self.disturbances))
-        if not (_is_finite(self.dt) and self.dt > 0):
-            raise ValidationError(f"dt must be finite and > 0, got {self.dt}")
-        if not (_is_finite(self.horizon) and self.horizon >= self.dt):
-            raise ValidationError(f"horizon must be finite and at least dt, got {self.horizon}")
-        if self.seed is not None and not _is_integer(self.seed):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed is not None and self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        _require(_is_finite(self.dt) and self.dt > 0, f"dt must be finite and > 0, got {self.dt}")
+        _require(_is_finite(self.horizon) and self.horizon >= self.dt,
+                 f"horizon must be finite and at least dt, got {self.horizon}")
+        if self.seed is not None:
+            _require(_is_integer(self.seed), f"seed must be an integer, got {self.seed!r}")
+            _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         for dist in self.disturbances:
-            if not 0.0 <= dist.time <= self.horizon:
-                raise ValidationError(
-                    f"disturbance at t={dist.time} outside [0, {self.horizon}]"
-                )
+            if not isinstance(dist, Disturbance):
+                raise ValidationError(f"disturbances must be Disturbance records, got {dist!r}")
+            _require(0.0 <= dist.time <= self.horizon,
+                     f"disturbance at t={dist.time} outside [0, {self.horizon}]")
 
 
 @dataclass(frozen=True)

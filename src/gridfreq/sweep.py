@@ -27,7 +27,7 @@ from itertools import product
 import numpy as np
 
 from .analysis import _h2
-from .control import InverterMode
+from .control import InverterMode, _finite, _integer, _require
 from .dynamics import _loop_stack, _parameters, _rotation_null_vector, assemble_closed_loop
 from .errors import NumericalError, ValidationError
 from .sim import _physical_memory, compute_metrics, simulate_deterministic
@@ -64,15 +64,35 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """One or two axes over distinct parameters, and the metric.  Library and
+    CLI specs pass the same checks, whose errors name the field as the JSON
+    spec does (``axes[0].count: must be >= 2``).  Bounds are stored as floats."""
+
     axes: tuple[SweepAxis, ...]
     metric: str  # "h2" | "nadir"
 
     def __post_init__(self):
-        names = [axis.name for axis in self.axes]
+        _require(1 <= len(self.axes) <= 2, "sweep needs one or two axes")
+        axes = []
+        for index, axis in enumerate(self.axes):
+            where = f"axes[{index}]"
+            _require(axis.name in AXIS_NAMES, f"{where}.name: unknown sweep axis "
+                                              f"{axis.name!r}; expected one of {AXIS_NAMES}")
+            count = _integer(axis.count, f"{where}.count")
+            _require(count >= 2, f"{where}.count: must be >= 2")
+            _require(axis.spacing in ("linear", "log"), f"{where}.spacing: must be linear or log")
+            minimum, maximum = (_finite(value, f"{where}.{key}")
+                                for key, value in (("min", axis.minimum), ("max", axis.maximum)))
+            _require(axis.spacing == "linear" or (minimum > 0 and maximum > 0),
+                     f"{where}: log spacing needs positive bounds")
+            axes.append(SweepAxis(axis.name, minimum, maximum, count, axis.spacing))
+        _require(self.metric in ("h2", "nadir"),
+                 f"metric: unknown sweep metric {self.metric!r}; expected h2 or nadir")
+        names = [axis.name for axis in axes]
         for index, name in enumerate(names):
-            if name in names[:index]:
-                raise ValidationError(f"axes[{index}].name: {name!r} is already swept by "
-                                      f"axes[{names.index(name)}]")
+            _require(name not in names[:index], f"axes[{index}].name: {name!r} is already swept "
+                                                f"by axes[{names.index(name)}]")
+        object.__setattr__(self, "axes", tuple(axes))
 
 
 def _grids(axes) -> list[np.ndarray]:

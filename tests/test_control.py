@@ -49,8 +49,12 @@ class TestInverterConfig:
         (lambda: InverterConfig.droop(q0=np.bool_(False)),
          "DC inverter q0 must be finite, got False"),
         (lambda: NoiseGains(k1=True), "noise gain k1 must be finite and >= 0, got True"),
+        (lambda: InverterConfig(mode="XX"),
+         "unknown inverter mode 'XX'; expected one of ['CP', 'DC', 'VI', 'IDROOP']"),
+        (lambda: uniform_fleet(3, "XX"),
+         "unknown inverter mode 'XX'; expected one of ['CP', 'DC', 'VI', 'IDROOP']"),
     ], ids=["q0", "r_r", "m_v", "delta", "nu", "nu-inf", "k1", "k2", "k3-inf", "r_r-bool",
-            "q0-numpy-bool", "k1-bool"])
+            "q0-numpy-bool", "k1-bool", "mode", "fleet-mode"])
     def test_non_finite_parameters_named(self, build, message):
         with pytest.raises(ValidationError) as excinfo:
             build()

@@ -15,12 +15,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gridfreq import (
     SimConfig,
+    SweepAxis,
+    SweepSpec,
     Trajectory,
     ValidationError,
     assemble_closed_loop,
     load_document,
     parse_document,
     reduce_document,
+    run_sweep,
     simulate_stochastic,
 )
 from gridfreq.cli import _write_trajectory_csv, main
@@ -273,6 +276,54 @@ def test_one_blas_thread_unless_the_caller_sets_a_count(tmp_path):
             == (tmp_path / "one" / "sweep.csv").read_bytes())
 
 
+def _axis(**fields):
+    return {"name": "nu", "min": 0.1, "max": 1.0, "count": 3, **fields}
+
+
+def _spec_in_code(spec):
+    """The SweepSpec of a JSON spec whose axes carry every key, built without the reader."""
+    return SweepSpec(axes=tuple(SweepAxis(axis["name"], axis["min"], axis["max"], axis["count"],
+                                          axis.get("spacing", "linear")) for axis in spec["axes"]),
+                     metric=spec["metric"])
+
+
+# Sweep rules that a spec breaks whether it is read from JSON or built in code
+BAD_SWEEP_SPECS = {
+    "no-axes": ({"axes": [], "metric": "h2"}, "sweep needs one or two axes"),
+    "three-axes": ({"axes": [_axis(name=name, count=2) for name in ("delta", "nu", "r_r")],
+                    "metric": "h2"}, "sweep needs one or two axes"),
+    "name-foo": ({"axes": [_axis(name="foo")], "metric": "h2"},
+                 "axes[0].name: unknown sweep axis 'foo'; expected one of "
+                 "('delta', 'nu', 'r_r', 'm_v')"),
+    "name-q0": ({"axes": [_axis(name="q0")], "metric": "h2"},
+                "axes[0].name: unknown sweep axis 'q0'; expected one of "
+                "('delta', 'nu', 'r_r', 'm_v')"),
+    "count-0": ({"axes": [_axis(count=0)], "metric": "h2"}, "axes[0].count: must be >= 2"),
+    "count-1": ({"axes": [_axis(), _axis(name="delta", count=1)], "metric": "h2"},
+                "axes[1].count: must be >= 2"),
+    "count-fraction": ({"axes": [_axis(count=2.7)], "metric": "h2"},
+                       "axes[0].count: must be an integer"),
+    "spacing-cubic": ({"axes": [_axis(spacing="cubic")], "metric": "h2"},
+                      "axes[0].spacing: must be linear or log"),
+    "min-string": ({"axes": [_axis(min="0.1")], "metric": "h2"}, "axes[0].min: must be a number"),
+    "max-bool": ({"axes": [_axis(max=True)], "metric": "h2"}, "axes[0].max: must be a number"),
+    "max-nan": ({"axes": [_axis(max=float("nan"))], "metric": "h2"},
+                "axes[0].max: must be finite"),
+    "min-1e400": ({"axes": [_axis(min=10**400)], "metric": "h2"}, "axes[0].min: must be finite"),
+    "log-from-minus-1": ({"axes": [_axis(min=-1.0, spacing="log")], "metric": "h2"},
+                         "axes[0]: log spacing needs positive bounds"),
+    "metric-bogus": ({"axes": [_axis()], "metric": "bogus"},
+                     "metric: unknown sweep metric 'bogus'; expected h2 or nadir"),
+    "count-before-metric": ({"axes": [_axis(count=1)], "metric": "settling"},
+                            "axes[0].count: must be >= 2"),
+    "metric-before-repeated-name": ({"axes": [_axis(), _axis()], "metric": "settling"},
+                                    "metric: unknown sweep metric 'settling'; "
+                                    "expected h2 or nadir"),
+    "repeated": ({"axes": [_axis(), _axis(min=0.5)], "metric": "nadir"},
+                 "axes[1].name: 'nu' is already swept by axes[0]"),
+}
+
+
 class TestCli:
     def test_h2_all_vi_reports_infinite(self, capsys):
         assert main(["h2", "--network", EXAMPLE_VI]) == 0
@@ -472,26 +523,24 @@ class TestCli:
         with pytest.raises(ValidationError, match="disturbances"):
             run_sweep(ten_bus_network(), uniform_fleet(10, "DC", r_r=15.0), None, spec)
 
-    def test_bad_sweep_specs_rejected(self, tmp_path):
+    def test_bad_sweep_specs_rejected(self):
+        """The JSON reader and a SweepSpec built in code refuse each spec with
+        the same message."""
         from gridfreq import parse_sweep_spec
 
+        for case, (spec, message) in BAD_SWEEP_SPECS.items():
+            for build in (parse_sweep_spec, _spec_in_code):
+                with pytest.raises(ValidationError) as excinfo:
+                    build(spec)
+                assert str(excinfo.value) == message, (case, build)
+
+    @pytest.mark.parametrize("spec", [spec for spec, _ in BAD_SWEEP_SPECS.values()],
+                             ids=BAD_SWEEP_SPECS.keys())
+    def test_run_sweep_on_a_bad_spec_raises_a_validation_error(self, spec):
+        system = reduce_document(load_document(EXAMPLE))
         with pytest.raises(ValidationError):
-            parse_sweep_spec({"axes": [], "metric": "h2"})
-        with pytest.raises(ValidationError):
-            parse_sweep_spec({"axes": [{"name": "nu", "min": 0.1, "max": 1, "count": 1}],
-                              "metric": "h2"})
-        with pytest.raises(ValidationError):
-            parse_sweep_spec({"axes": [{"name": "q0", "min": 0.1, "max": 1, "count": 3}],
-                              "metric": "h2"})
-        with pytest.raises(ValidationError):
-            parse_sweep_spec({"axes": [{"name": "nu", "min": 0.1, "max": 1, "count": 3}] * 3,
-                              "metric": "h2"})
-        with pytest.raises(ValidationError):
-            parse_sweep_spec({"axes": [{"name": "nu", "min": 0.1, "max": 1, "count": 3}],
-                              "metric": "settling"})
-        with pytest.raises(ValidationError):
-            parse_sweep_spec({"axes": [{"name": "nu", "min": -0.1, "max": 1, "count": 3,
-                                        "spacing": "log"}], "metric": "h2"})
+            run_sweep(system.network, system.configs, system.noise, _spec_in_code(spec),
+                      SimConfig(horizon=1.0, disturbances=system.disturbances))
 
     def test_cp_closed_form_uses_swing_formula(self, capsys):
         assert main(["h2", "--network", EXAMPLE_CP, "--closed-form"]) == 0
@@ -617,10 +666,6 @@ SCHEMA_ERRORS = [
     (("lines", 1, "susceptance"), "2.0", "lines[1].susceptance: must be a number"),
     (("buses", 2, "inertia"), 10**400, "buses[2].inertia: must be finite"),
 ]
-
-
-def _axis(**fields):
-    return {"name": "nu", "min": 0.1, "max": 1.0, "count": 3, **fields}
 
 
 SWEEP_SPEC_ERRORS = {

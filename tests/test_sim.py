@@ -64,6 +64,9 @@ class TestSimConfig:
                 SimConfig(seed=seed)
         with pytest.raises(ValidationError, match="^seed must be >= 0, got -1$"):
             SimConfig(seed=-1)
+        with pytest.raises(ValidationError,
+                           match="^disturbances must be Disturbance records, got 1$"):
+            SimConfig(disturbances=[1])
 
     @pytest.mark.parametrize("noise", [False, True], ids=["deterministic", "stochastic"])
     def test_memory_bound_counts_the_run_s_peak(self, monkeypatch, ten_bus, idroop_fleet, noise):
