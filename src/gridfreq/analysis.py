@@ -204,13 +204,11 @@ def _uniform_fleet(network: PowerNetwork, configs, noise):
     modes = {c.mode for c in configs}
     if len(modes) != 1:
         raise ValidationError(f"heterogeneous inverter modes: {sorted(m.value for m in modes)}")
-    inverter = {InverterMode.CP: (), InverterMode.DC: ("r_r",), InverterMode.VI: ("r_r", "m_v"),
-                InverterMode.IDROOP: ("r_r", "delta", "nu")}[modes.pop()]
     buses = network.buses
     shared = [("inertia", [b.inertia for b in buses]), ("damping", [b.damping for b in buses]),
               ("governor droop", [b.governor_droop for b in buses]),
               *((name, [getattr(g, name) for g in noise]) for name in ("k1", "k2", "k3")),
-              *((name, [getattr(c, name) for c in configs]) for name in inverter)]
+              *((name, [getattr(c, name) for c in configs]) for name in modes.pop().parameters)]
     for label, values in shared:
         values = np.array(values, dtype=float)
         if not np.allclose(values, values[0], rtol=1e-12, atol=1e-12):

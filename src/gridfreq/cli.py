@@ -92,7 +92,7 @@ def _write_trajectory_csv(path: Path, trajectory, bus_ids) -> None:
         + [f"theta_dev_{i}" for i in bus_ids]
         + [f"omega_dev_{i}" for i in bus_ids]
         + [f"q_r_dev_{i}" for i in bus_ids]
-        + [f"x_{bus_ids[i]}" for i in trajectory.idroop_buses]
+        + [f"x_{bus_ids[i]}" for i in trajectory.model.idroop_buses]
     )
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")

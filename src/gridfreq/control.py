@@ -68,11 +68,43 @@ def _integer(value, field: str) -> int:
     return int(value)
 
 
+def _records(values, kind, field: str) -> tuple:
+    """The iterable ``values`` of ``kind`` records as a tuple; errors name field and value."""
+    message = f"{field} must be {kind.__name__} records, got "
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValidationError(message + repr(values)) from None
+    for value in values:
+        if not isinstance(value, kind):
+            raise ValidationError(message + repr(value))
+    return values
+
+
+# Every per-bus parameter some inverter law reads, in the order sweep errors list them
+PARAMETERS = ("delta", "nu", "r_r", "m_v")
+
+
 class InverterMode(str, Enum):
     CP = "CP"
     DC = "DC"
     VI = "VI"
     IDROOP = "IDROOP"
+
+    @property
+    def parameters(self) -> tuple[str, ...]:
+        """The parameters this mode's law reads."""
+        return {"CP": (), "DC": ("r_r",), "VI": ("r_r", "m_v"),
+                "IDROOP": ("r_r", "delta", "nu")}[self.value]
+
+
+def _mode(value, field: str | None = None) -> InverterMode:
+    try:
+        return InverterMode(value)
+    except ValueError:
+        where = f"{field}: unknown mode" if field else "unknown inverter mode"
+        raise ValidationError(f"{where} {value!r}; expected one of "
+                              f"{[m.value for m in InverterMode]}") from None
 
 
 @dataclass(frozen=True)
@@ -94,32 +126,23 @@ class InverterConfig:
     nu: float | None = None
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "mode", InverterMode(self.mode))
-        except ValueError:
-            raise ValidationError(f"unknown inverter mode {self.mode!r}; expected one of "
-                                  f"{[m.value for m in InverterMode]}") from None
-        mode = self.mode
-        for name in ("q0", "r_r", "m_v", "delta", "nu"):
+        mode = _mode(self.mode)
+        object.__setattr__(self, "mode", mode)
+        for name in ("q0", *PARAMETERS):
             value = getattr(self, name)
             if value is not None and not _is_finite(value):
                 raise ValidationError(f"{mode.value} inverter {name} must be finite, got {value}")
-        if mode in (InverterMode.DC, InverterMode.VI, InverterMode.IDROOP):
-            _require(self.r_r is not None and self.r_r > 0,
-                     f"{mode.value} inverter requires r_r > 0")
-            if not math.isfinite(1.0 / self.r_r):
-                raise ValidationError(f"{mode.value} inverter r_r {self.r_r} has no finite inverse")
-        if mode is InverterMode.VI:
-            _require(self.m_v is not None and self.m_v >= 0, "VI inverter requires m_v >= 0")
-        else:
-            _require(self.m_v is None, f"m_v is meaningless for mode {mode.value}")
-        if mode is InverterMode.IDROOP:
-            _require(self.delta is not None and self.delta > 0,
-                     "IDROOP inverter requires delta > 0")
-            _require(self.nu is not None and self.nu >= 0, "IDROOP inverter requires nu >= 0")
-        else:
-            _require(self.delta is None and self.nu is None,
-                     f"delta/nu are meaningless for mode {mode.value}")
+        read = mode.parameters
+        for name in read:  # r_r and delta must be > 0, m_v and nu >= 0
+            value, strict = getattr(self, name), name in ("r_r", "delta")
+            if value is None or not (value > 0 if strict else value >= 0):
+                raise ValidationError(f"{mode.value} inverter requires {name} "
+                                      f"{'>' if strict else '>='} 0")
+            if name == "r_r" and not math.isfinite(1.0 / value):
+                raise ValidationError(f"{mode.value} inverter r_r {value} has no finite inverse")
+        for name in ("delta", "nu", "m_v"):  # a CP unit may carry an r_r that no law reads
+            if name not in read and getattr(self, name) is not None:
+                raise ValidationError(f"{name} is meaningless for mode {mode.value}")
 
     @classmethod
     def constant_power(cls, q0=0.0):
@@ -160,7 +183,7 @@ class NoiseGains:
 
 
 def uniform_fleet(n: int, mode, **params) -> list[InverterConfig]:
-    """Build n identical inverter configs (convenience for tests and sweeps)."""
+    """Build n identical inverter configs, for tests and examples; no sweep uses it."""
     cfg = InverterConfig(mode=mode, **params)
     return [replace(cfg) for _ in range(n)]
 

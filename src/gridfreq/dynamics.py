@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .control import InverterConfig, InverterMode, NoiseGains
+from .control import PARAMETERS, InverterConfig, InverterMode, NoiseGains, _records
 from .errors import NumericalError, ValidationError
 from .network import PowerNetwork
 
@@ -182,14 +182,9 @@ def steady_state(network: PowerNetwork, configs) -> SteadyState:
     )
 
 
-# The per-bus inverter parameters a closed loop reads; sweeps write their axes
-# into the same arrays.
-PARAMETERS = ("r_r", "m_v", "delta", "nu")
-
-
 def _parameters(configs) -> dict[str, np.ndarray]:
-    """Each parameter of a fleet as a stack of one point, shape (1, n): the
-    configs' own values, 0.0 where a config has none."""
+    """Each of a fleet's PARAMETERS as a stack of one point, shape (1, n): the
+    configs' own values, 0.0 where a config has none (sweeps write into it)."""
     return {name: np.array([[getattr(c, name) or 0.0 for c in configs]], dtype=float)
             for name in PARAMETERS}
 
@@ -279,7 +274,7 @@ def _loop_stack(network: PowerNetwork, configs, noise, params) -> dict:
 def _noise_gains(noise, n: int) -> tuple[NoiseGains, ...]:
     if noise is None:
         return tuple(NoiseGains() for _ in range(n))
-    noise = tuple(noise)
+    noise = _records(noise, NoiseGains, "noise")
     if len(noise) != n:
         raise ValidationError(f"need one NoiseGains per bus, got {len(noise)}")
     return noise
@@ -302,7 +297,7 @@ def assemble_closed_loop(network: PowerNetwork, configs,
     the IDROOP states (scaled by -nu/m), which is exactly how the controller
     sees the true frequency derivative.
     """
-    configs = tuple(configs)
+    configs = _records(configs, InverterConfig, "configs")
     loop = _loop_stack(network, configs, noise, _parameters(configs))
     return StateSpaceModel(
         **{key: value[0] for key, value in loop.items()},

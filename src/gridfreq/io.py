@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .control import InverterConfig, InverterMode, NoiseGains, _finite, _integer, _require
+from .control import InverterConfig, NoiseGains, _finite, _integer, _mode, _require
 from .errors import ValidationError
 from .network import Bus, Line, PowerNetwork, kron_reduce_network
 from .sim import Disturbance
@@ -57,12 +57,6 @@ class ReducedSystem:
     def bus_ids(self) -> list[int]:
         """Original document id of each reduced bus, in reduced order."""
         return sorted(self.id_map, key=self.id_map.get)
-
-
-def _mode(value, field: str) -> InverterMode:
-    modes = [m.value for m in InverterMode]
-    _require(value in modes, f"{field}: unknown mode {value!r}; expected one of {modes}")
-    return InverterMode(value)
 
 
 _REQUIRED = object()

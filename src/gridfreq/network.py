@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .control import _is_finite, _is_integer
 from .errors import ValidationError
 
 __all__ = [
@@ -164,13 +165,14 @@ def validate_network(network: PowerNetwork) -> list[str]:
     for bus in network.buses:
         if bus.kind not in (GENERATOR, LOAD):
             violations.append(f"bus {bus.id}: unknown kind {bus.kind!r}")
-        if not 0 <= bus.damping < math.inf:
+        if not (_is_finite(bus.damping) and bus.damping >= 0):
             violations.append(f"bus {bus.id}: damping must be finite and >= 0, got {bus.damping}")
-        if not math.isfinite(bus.injection):
+        if not _is_finite(bus.injection):
             violations.append(f"bus {bus.id}: injection must be finite, got {bus.injection}")
         if bus.is_generator:
             for label, value in (("inertia", bus.inertia), ("governor droop", bus.governor_droop)):
-                if value is None or value <= 0:
+                # an infinite inertia or droop enters the dynamics as its zero inverse
+                if not (_is_finite(value) and value > 0 or value == math.inf):
                     violations.append(f"generator bus {bus.id}: {label} must be > 0")
                 elif not math.isfinite(1.0 / value):
                     violations.append(f"generator bus {bus.id}: {label} {value} has no finite "
@@ -188,15 +190,16 @@ def validate_network(network: PowerNetwork) -> list[str]:
         if line.from_bus == line.to_bus:
             violations.append(f"{name}: self-loop")
             continue
-        if not (0 <= line.from_bus < n and 0 <= line.to_bus < n):
+        if not all(_is_integer(end) and 0 <= end < n for end in (line.from_bus, line.to_bus)):
             violations.append(f"{name}: references an unknown bus id")
             continue
         pair = frozenset((line.from_bus, line.to_bus))
         if pair in seen_pairs:
             violations.append(f"{name}: duplicate (parallel lines are not merged)")
         seen_pairs.add(pair)
-        if not line.susceptance > 0:  # NaN included
-            violations.append(f"{name}: susceptance must be > 0, got {line.susceptance}")
+        b = line.susceptance
+        if not (_is_finite(b) and b > 0 or b == math.inf):  # inf: a non-finite Laplacian entry
+            violations.append(f"{name}: susceptance must be > 0, got {b}")
         adjacency[line.from_bus, line.to_bus] = adjacency[line.to_bus, line.from_bus] = True
 
     components = _components(adjacency)

@@ -24,9 +24,9 @@ is the mechanism behind the unbounded norm of derivative feedback and is
 deliberately not suppressed.
 
 The inverter-power trace is the model's output q_r_dev = power @ z +
-power_injection @ u, so the control laws are encoded in dynamics only.  It
-and the dynamic-droop states are derived from the states, block by block,
-whenever the metrics, the CSV writer or a caller reads them.
+power_injection @ u, so the control laws are encoded in dynamics only.  A
+run keeps its model, and derives that trace and the dynamic-droop states
+from its states, block by block, whenever the metrics or a caller reads them.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .control import _is_finite, _is_integer, _require
+from .control import _is_finite, _is_integer, _records, _require
 from .dynamics import StateSpaceModel, SteadyState
 from .errors import InjectionOverflow, NumericalError, SimulationDiverged, ValidationError
 
@@ -85,7 +85,8 @@ class SimConfig:
     noise_enabled: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "disturbances", tuple(self.disturbances))
+        object.__setattr__(self, "disturbances",
+                           _records(self.disturbances, Disturbance, "disturbances"))
         _require(_is_finite(self.dt) and self.dt > 0, f"dt must be finite and > 0, got {self.dt}")
         _require(_is_finite(self.horizon) and self.horizon >= self.dt,
                  f"horizon must be finite and at least dt, got {self.horizon}")
@@ -93,48 +94,43 @@ class SimConfig:
             _require(_is_integer(self.seed), f"seed must be an integer, got {self.seed!r}")
             _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         for dist in self.disturbances:
-            if not isinstance(dist, Disturbance):
-                raise ValidationError(f"disturbances must be Disturbance records, got {dist!r}")
             _require(0.0 <= dist.time <= self.horizon,
                      f"disturbance at t={dist.time} outside [0, {self.horizon}]")
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A uniformly sampled run: its times and states, and the small maps that
-    derive its traces from them.  Only ``times`` and ``states`` span the run.
+    """A uniformly sampled run: its times and states, the model that made it,
+    and its inputs.  Only ``times`` and ``states`` span the run.
 
     The inputs u are an event table: ``event_rows`` holds the ascending rows
     at which u changes (row 0 first) and ``event_inputs`` u's value from each
     of them on.  theta_dev/omega_dev are views of the states, relative to the
-    pre-disturbance steady state of frequency ``base_omega0``.  q_r_dev =
-    power @ z + power_injection @ u and x, the absolute dynamic-droop states
-    (columns follow ``idroop_buses``), are computed on each read and never
-    cached; :meth:`blocks` yields both one block at a time.
+    model's reference steady state.  q_r_dev = power @ z + power_injection @ u
+    and x, the absolute dynamic-droop states (columns follow the model's
+    ``idroop_buses``), are computed on each read and never cached;
+    :meth:`blocks` yields both one block at a time.  x solves the reference
+    steady state on its first read and raises where that fails.
     """
 
     times: np.ndarray
     states: np.ndarray
-    power: np.ndarray
-    power_injection: np.ndarray
-    x_star: np.ndarray
-    base_omega0: float
-    idroop_buses: tuple[int, ...]
+    model: StateSpaceModel
     event_rows: np.ndarray
     event_inputs: np.ndarray
 
     @property
     def theta_dev(self) -> np.ndarray:
-        return self.states[:, : len(self.power)]
+        return self.states[:, : self.model.n_buses]
 
     @property
     def omega_dev(self) -> np.ndarray:
-        n = len(self.power)
+        n = self.model.n_buses
         return self.states[:, n : 2 * n]
 
     @property
     def q_r_dev(self) -> np.ndarray:
-        whole = np.empty((len(self.times), len(self.power)))
+        whole = np.empty((len(self.times), self.model.n_buses))
         for rows, q_r, _ in self.blocks():
             whole[rows] = q_r
         return whole
@@ -142,19 +138,19 @@ class Trajectory:
     @property
     def x(self) -> np.ndarray:
         # elementwise, so bit for bit the rows of blocks(), without their power trace
-        return self.states[:, 2 * len(self.power) :] + self.x_star
+        return self.states[:, 2 * self.model.n_buses :] + self.model.reference.x_star
 
     def blocks(self):
         """Yield (rows, q_r_dev rows, x rows) for each block of the run.  A
         block's power trace is one product of its rows, so the last block
         takes up to BLOCK_STEPS + 1 rows, as the march's do."""
-        n = len(self.power)
+        model, x_star = self.model, self.model.reference.x_star
         for rows in _blocks(len(self.times)):
             states = self.states[rows]
             with np.errstate(over="ignore", invalid="ignore"):  # overflows are named by the metrics
-                q_r = _inputs(self.event_rows, self.event_inputs, rows) @ self.power_injection.T
-                q_r += states @ self.power.T
-                x = states[:, 2 * n :] + self.x_star
+                q_r = _inputs(self.event_rows, self.event_inputs, rows) @ model.power_injection.T
+                q_r += states @ model.power.T
+                x = states[:, 2 * model.n_buses :] + x_star
             yield rows, q_r, x
 
 
@@ -298,17 +294,7 @@ def _march(model, config, initial_state) -> Trajectory:
                 raise SimulationDiverged(
                     f"simulation diverged at t={times[k]:.6g}", float(times[k - 1]),
                     states[k - 1].copy())
-    return Trajectory(
-        times=times,
-        states=states,
-        power=model.power,
-        power_injection=model.power_injection,
-        x_star=model.reference.x_star,
-        base_omega0=model.reference.omega0,
-        idroop_buses=model.idroop_buses,
-        event_rows=events[0],
-        event_inputs=events[1],
-    )
+    return Trajectory(times, states, model, *events)
 
 
 def simulate_deterministic(model: StateSpaceModel, config: SimConfig,
@@ -354,7 +340,7 @@ def compute_metrics(trajectory: Trajectory, steady: SteadyState | None = None) -
         variance = float(sums.mean()) if tail50.size else 0.0
 
     if steady is not None:
-        direction = steady.omega0 - trajectory.base_omega0
+        direction = steady.omega0 - trajectory.model.reference.omega0
     else:
         direction = settling
     if direction < 0:

@@ -2,20 +2,20 @@
 
 Rows come out in grid order, axis-1 major, so output files are
 deterministic.  A grid whose point bookkeeping would not fit in physical
-memory is rejected before it is built, and every swept value is checked by
-InverterConfig's own rules, once per distinct config that carries it.
-Points that agree on every axis some config carries have the same closed
-loop, so each distinct point is evaluated once, in the grid order of its
-first occurrence, and its value is copied to the points that repeat it: a
-droop fleet's delta x nu grid is one point.  An h2 sweep builds its closed
-loops as stacks of distinct points, writing the swept values into the
-fleet's parameter arrays, and evaluates each stack in one H2 pass, which
-forms the products that cannot fail once per stack and then solves its
-points in order.  Stacks are cut into chunks under a fixed byte budget, so
-a large network's sweep never holds all its points' matrices at once.  A
-nadir sweep builds and runs one model per distinct point, because the
-march dominates it.  A numerical failure names the first grid point where
-it occurs.
+memory is rejected before it is built.  A swept value goes on every config
+whose mode's law reads it, checked by InverterConfig's own rules once per
+distinct such config.  Points that agree on every axis some config's law
+reads have the same closed loop, so each distinct point is evaluated once,
+in the grid order of its first occurrence, and its value is copied to the
+points that repeat it: a droop fleet's delta x nu grid is one point.  An h2
+sweep builds its closed loops as stacks of distinct points, writing the
+swept values into the fleet's parameter arrays, and evaluates each stack in
+one H2 pass, which forms the products that cannot fail once per stack and
+then solves its points in order.  Stacks are cut into chunks under a fixed
+byte budget, so a large network's sweep never holds all its points'
+matrices at once.  A nadir sweep builds and runs one model per distinct
+point, because the march dominates it.  A numerical failure names the
+first grid point where it occurs.
 """
 
 from __future__ import annotations
@@ -27,14 +27,12 @@ from itertools import product
 import numpy as np
 
 from .analysis import _h2
-from .control import InverterMode, _finite, _integer, _require
+from .control import PARAMETERS, InverterConfig, InverterMode, _finite, _integer, _records, _require
 from .dynamics import _loop_stack, _parameters, _rotation_null_vector, assemble_closed_loop
 from .errors import NumericalError, ValidationError
 from .sim import _physical_memory, compute_metrics, simulate_deterministic
 
 __all__ = ["SweepAxis", "SweepSpec", "run_sweep"]
-
-AXIS_NAMES = ("delta", "nu", "r_r", "m_v")
 
 # Working memory of one h2 chunk.  Its evaluation holds about sixteen
 # state-sized (d x d) float matrices per point at once; bigger chunks raise the
@@ -72,12 +70,13 @@ class SweepSpec:
     metric: str  # "h2" | "nadir"
 
     def __post_init__(self):
-        _require(1 <= len(self.axes) <= 2, "sweep needs one or two axes")
+        given = _records(self.axes, SweepAxis, "axes")
+        _require(1 <= len(given) <= 2, "sweep needs one or two axes")
         axes = []
-        for index, axis in enumerate(self.axes):
+        for index, axis in enumerate(given):
             where = f"axes[{index}]"
-            _require(axis.name in AXIS_NAMES, f"{where}.name: unknown sweep axis "
-                                              f"{axis.name!r}; expected one of {AXIS_NAMES}")
+            _require(axis.name in PARAMETERS, f"{where}.name: unknown sweep axis "
+                                              f"{axis.name!r}; expected one of {PARAMETERS}")
             count = _integer(axis.count, f"{where}.count")
             _require(count >= 2, f"{where}.count: must be >= 2")
             _require(axis.spacing in ("linear", "log"), f"{where}.spacing: must be linear or log")
@@ -123,10 +122,10 @@ def _grids(axes) -> list[np.ndarray]:
 
 
 def _swept(config, axes, point):
-    """``config`` with the point's values on the parameters it carries,
-    checked by InverterConfig's own rules."""
+    """``config`` with the point's values on the parameters its mode's law
+    reads, checked by InverterConfig's own rules."""
     return replace(config, **{axis.name: float(value) for axis, value in zip(axes, point)
-                              if getattr(config, axis.name) is not None})
+                              if axis.name in config.mode.parameters})
 
 
 def _check_values(configs, axes, grids) -> None:
@@ -155,8 +154,8 @@ def _h2_values(network, configs, noise, axes, points, indices) -> list[float]:
     """Squared H2 norm at the grid points ``indices``, inf where it is
     infinite, one stack per chunk."""
     base = _parameters(configs)
-    carriers = {axis.name: [i for i, c in enumerate(configs)
-                            if getattr(c, axis.name) is not None] for axis in axes}
+    carriers = {axis.name: [i for i, c in enumerate(configs) if axis.name in c.mode.parameters]
+                for axis in axes}
     n = network.n_buses
     dim = 2 * n + sum(c.mode is InverterMode.IDROOP for c in configs)
     null_vector = _rotation_null_vector(n, dim)
@@ -192,25 +191,26 @@ def run_sweep(network, configs, noise, spec: SweepSpec, sim_config=None) -> list
     """Evaluate the metric on the parameter grid.
 
     Returns rows (value_axis1, value_axis2 or None, metric), axis-1 major.
-    A swept value applies to every config that carries the parameter:
-    InverterConfig carries m_v, delta and nu only on modes that use them,
-    and an r_r on a CP config is read by no law.  A sweep that touches no
-    bus yields a constant grid.  Infinite H2 norms show up as float('inf').
+    A swept value goes on every config whose mode's law reads it, so an r_r
+    that a CP config carries is left as it is.  A sweep that touches no bus
+    yields a constant grid.  Infinite H2 norms show up as float('inf').
     The grid's size is bounded by physical memory, and every value is
     checked, before any point is evaluated.  Points with equal values on
-    the axes some config carries have equal models, so each distinct point
-    is evaluated once and its value is copied to the points that repeat it.
+    the axes some config's law reads have equal models, so each distinct
+    point is evaluated once and its value is copied to the points that
+    repeat it.
     """
     if spec.metric == "nadir":
         if sim_config is None or not sim_config.disturbances:
             raise ValidationError("nadir sweep needs a SimConfig with disturbances")
 
+    configs = _records(configs, InverterConfig, "configs")
     axes = spec.axes
     grids = _grids(axes)
     points = np.array(list(product(*grids))).reshape(-1, len(axes))
     _check_values(configs, axes, grids)
     carried = [k for k, axis in enumerate(axes)
-               if any(getattr(c, axis.name) is not None for c in configs)]
+               if any(axis.name in c.mode.parameters for c in configs)]
     first = {}  # carried values -> grid index of their first occurrence, in grid order
     owners = [first.setdefault(key.tobytes(), index)
               for index, key in enumerate(points[:, carried])]

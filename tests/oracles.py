@@ -203,7 +203,7 @@ def reference_metrics(trajectory, steady=None):
         variance = float((tail50**2).sum(axis=1).mean()) if tail50.size else 0.0
 
     if steady is not None:
-        direction = steady.omega0 - trajectory.base_omega0
+        direction = steady.omega0 - trajectory.model.reference.omega0
     else:
         direction = settling
     if direction < 0:

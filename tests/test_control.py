@@ -7,12 +7,16 @@ from gridfreq import (
     InverterMode,
     NoiseGains,
     PowerNetwork,
+    SimConfig,
+    SweepAxis,
+    SweepSpec,
     ValidationError,
     check_decentralized_stability,
+    run_sweep,
     uniform_fleet,
 )
 from gridfreq.dynamics import assemble_closed_loop
-from conftest import path_network, random_connected_network
+from conftest import path_network, random_connected_network, ten_bus_network
 from oracles import idroop_step, inverter_power, lyapunov_diagnostics
 
 NAN = float("nan")
@@ -53,8 +57,24 @@ class TestInverterConfig:
          "unknown inverter mode 'XX'; expected one of ['CP', 'DC', 'VI', 'IDROOP']"),
         (lambda: uniform_fleet(3, "XX"),
          "unknown inverter mode 'XX'; expected one of ['CP', 'DC', 'VI', 'IDROOP']"),
+        (lambda: InverterConfig(mode="DC", r_r=15.0, nu=0.5),
+         "nu is meaningless for mode DC"),
+        (lambda: SweepSpec(axes=None, metric="h2"), "axes must be SweepAxis records, got None"),
+        (lambda: SweepSpec(axes=({"name": "nu"},), metric="h2"),
+         "axes must be SweepAxis records, got {'name': 'nu'}"),
+        (lambda: SimConfig(disturbances=None),
+         "disturbances must be Disturbance records, got None"),
+        (lambda: assemble_closed_loop(ten_bus_network(), [InverterConfig.droop(), "DC"]),
+         "configs must be InverterConfig records, got 'DC'"),
+        (lambda: assemble_closed_loop(ten_bus_network(), uniform_fleet(10, "CP"), ["x"] * 10),
+         "noise must be NoiseGains records, got 'x'"),
+        (lambda: run_sweep(ten_bus_network(), ["DC"] * 10, None,
+                           SweepSpec(axes=(SweepAxis("nu", 0.1, 1.0, 2),), metric="h2")),
+         "configs must be InverterConfig records, got 'DC'"),
     ], ids=["q0", "r_r", "m_v", "delta", "nu", "nu-inf", "k1", "k2", "k3-inf", "r_r-bool",
-            "q0-numpy-bool", "k1-bool", "mode", "fleet-mode"])
+            "q0-numpy-bool", "k1-bool", "mode", "fleet-mode", "nu-on-dc", "sweep-axes-none",
+            "sweep-axis-dict", "disturbances-none", "configs-string", "noise-string",
+            "sweep-configs-string"])
     def test_non_finite_parameters_named(self, build, message):
         with pytest.raises(ValidationError) as excinfo:
             build()

@@ -8,6 +8,7 @@ from functools import reduce
 from importlib import resources
 from operator import getitem
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -398,10 +399,10 @@ class TestCli:
         q_r = -theta
         x = np.array([[0.25], [5e-324], [-1e16]])
         # q_r = -theta through the power map, x through a zero x_star, and no inputs
-        trajectory = Trajectory(times=times, states=np.hstack([theta, omega, x]),
-                                power=np.hstack([-np.eye(2), np.zeros((2, 3))]),
-                                power_injection=np.zeros((2, 2)), x_star=np.zeros(1),
-                                base_omega0=0.0, idroop_buses=(1,),
+        model = SimpleNamespace(n_buses=2, power=np.hstack([-np.eye(2), np.zeros((2, 3))]),
+                                power_injection=np.zeros((2, 2)), idroop_buses=(1,),
+                                reference=SimpleNamespace(x_star=np.zeros(1), omega0=0.0))
+        trajectory = Trajectory(times=times, states=np.hstack([theta, omega, x]), model=model,
                                 event_rows=np.zeros(1, dtype=int), event_inputs=np.zeros((1, 2)))
         path = tmp_path / "trajectory.csv"
         _write_trajectory_csv(path, trajectory, [4, 7])

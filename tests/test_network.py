@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -196,14 +199,36 @@ class TestValidateNetwork:
         assert any("governor droop" in v for v in violations)
         assert any("damping" in v for v in violations)
 
-    @pytest.mark.parametrize("field,value", [("damping", float("nan")), ("damping", float("inf")),
-                                             ("injection", float("nan")),
-                                             ("injection", float("-inf"))])
-    def test_non_finite_bus_numbers_named(self, field, value):
-        net = simple_net(2, [Line(0, 1, 1.0)], **{field: value})
+    @pytest.mark.parametrize("field,value,expected", [
+        ("damping", float("nan"), "bus {}: damping must be finite"),
+        ("damping", float("inf"), "bus {}: damping must be finite"),
+        ("injection", float("nan"), "bus {}: injection must be finite"),
+        ("injection", float("-inf"), "bus {}: injection must be finite"),
+        ("damping", "x", "bus {}: damping must be finite and >= 0, got x"),
+        ("inertia", "x", "generator bus {}: inertia must be > 0"),
+        ("inertia", True, "generator bus {}: inertia must be > 0"),
+        ("injection", None, "bus {}: injection must be finite, got None"),
+        ("susceptance", "x", ["line 0-1: susceptance must be > 0, got x"]),
+        ("susceptance", None, ["line 0-1: susceptance must be > 0, got None"]),
+        ("to_bus", "x", ["line 0-x: references an unknown bus id", "network is disconnected"]),
+        ("to_bus", 1.0, ["line 0-1.0: references an unknown bus id", "network is disconnected"]),
+    ], ids=["damping-nan", "damping-inf", "injection-nan", "injection--inf", "damping-str",
+            "inertia-str", "inertia-bool", "injection-none", "susceptance-str", "susceptance-none",
+            "to-bus-str", "to-bus-float"])
+    def test_non_finite_bus_numbers_named(self, field, value, expected):
+        """A bus or line number that is not a number of its range is a named
+        violation, of each bus (a pattern over the bus id) or of the line,
+        and not a raw error."""
+        if field in ("to_bus", "susceptance"):
+            net = simple_net(2, [replace(Line(0, 1, 1.0), **{field: value})])
+        else:
+            net = simple_net(2, [Line(0, 1, 1.0)], **{field: value})
+        if isinstance(expected, str):
+            expected = [expected.format(bus) for bus in (0, 1)]
         violations = validate_network(net)
-        assert f"bus 0: {field} must be finite" in violations[0] and len(violations) == 2
-        with pytest.raises(ValidationError, match=f"bus 1: {field} must be finite"):
+        assert len(violations) == len(expected)
+        assert all(e in v for e, v in zip(expected, violations))
+        with pytest.raises(ValidationError, match=re.escape(expected[-1])):
             net.laplacian
 
 

@@ -3,6 +3,7 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -67,6 +68,18 @@ class TestSimConfig:
         with pytest.raises(ValidationError,
                            match="^disturbances must be Disturbance records, got 1$"):
             SimConfig(disturbances=[1])
+
+    def test_run_needs_no_steady_state_and_its_metrics_name_the_failure(self, ten_bus, dc_fleet):
+        """The march never solves the model's reference steady state: a run
+        whose net injection overflows returns its states, and the metrics,
+        which read that steady state, raise its error."""
+        net = PowerNetwork([replace(b, injection=1e308) for b in ten_bus.buses], ten_bus.lines)
+        trajectory = simulate_deterministic(assemble_closed_loop(net, dc_fleet),
+                                            SimConfig(dt=0.01, horizon=1.0))
+        assert trajectory.states.shape == (101, 20) and not trajectory.states.any()
+        with pytest.raises(ValidationError, match="^bus injections and inverter setpoints q0 sum "
+                                                  "to a non-finite net injection$"):
+            compute_metrics(trajectory)
 
     @pytest.mark.parametrize("noise", [False, True], ids=["deterministic", "stochastic"])
     def test_memory_bound_counts_the_run_s_peak(self, monkeypatch, ten_bus, idroop_fleet, noise):
@@ -568,14 +581,13 @@ class TestMetrics:
             rows, inputs = np.zeros(1, dtype=int), np.zeros((1, n))
         else:
             rows, inputs = np.arange(len(q_r)), q_r
+        model = SimpleNamespace(n_buses=n, power=np.zeros((n, 2 * n)), power_injection=np.eye(n),
+                                idroop_buses=(),
+                                reference=SimpleNamespace(x_star=np.zeros(0), omega0=base_omega0))
         return Trajectory(
             times=times,
             states=np.hstack([np.zeros_like(omega), omega]),
-            power=np.zeros((n, 2 * n)),
-            power_injection=np.eye(n),
-            x_star=np.zeros(0),
-            base_omega0=base_omega0,
-            idroop_buses=(),
+            model=model,
             event_rows=rows,
             event_inputs=inputs,
         )

@@ -197,6 +197,18 @@ def test_droop_fleet_delta_nu_grid_is_one_h2_solve(monkeypatch):
     assert rows == oracles.sweep_point_route(network, configs, noise, DELTA_NU)
 
 
+def test_cp_fleet_r_r_grid_is_one_h2_solve(monkeypatch):
+    """No CP law reads r_r, so an r_r grid over CP configs that carry one is
+    one closed loop."""
+    network, _, noise = bundled("example-10bus-dc.json")
+    configs = [InverterConfig(mode="CP", r_r=20.0)] * network.n_buses
+    spec = SweepSpec(axes=(SweepAxis("r_r", 5.0, 30.0, 4),), metric="h2")
+    calls = counting(monkeypatch, "_h2")
+    rows = run_sweep(network, configs, noise, spec)
+    assert [len(a) for a in calls] == [1]
+    assert rows == oracles.sweep_point_route(network, configs, noise, spec)
+
+
 def test_droop_fleet_delta_nu_nadir_grid_is_one_simulation(monkeypatch):
     network, configs, noise = bundled("example-10bus-dc.json")
     spec = SweepSpec(axes=DELTA_NU.axes, metric="nadir")
