@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import InverterMode
-from .dynamics import StateSpaceModel, _loop_matrices, _noise_gains, _parameters, steady_state
-from .errors import NumericalError, ValidationError
+from .control import InverterMode, _fleet
+from .dynamics import StateSpaceModel, _loop_matrices, _parameters, steady_state
+from .errors import NumericalError, ValidationError, _finite, _require
 from .network import PowerNetwork
 
 __all__ = [
@@ -198,22 +198,23 @@ class ModalDecomposition:
 
 
 def _uniform_fleet(network: PowerNetwork, configs, noise):
-    """Bus 0's bus, inverter config and noise gains, after checking that every
-    bus shares the inverter mode and, to 1e-12, every parameter of the
+    """Bus 0's inverter config, noise gains, inertia and damping plus 1/r_g,
+    read through the fleet gate (no noise is zero gains), after checking that
+    every bus shares the inverter mode and, to 1e-12, every parameter of the
     closed loop; a heterogeneous fleet is rejected, naming the parameter."""
+    configs, noise, inertia, damping, rg_inv = _fleet(network.buses, configs, noise)
     modes = {c.mode for c in configs}
     if len(modes) != 1:
         raise ValidationError(f"heterogeneous inverter modes: {sorted(m.value for m in modes)}")
-    buses = network.buses
-    shared = [("inertia", [b.inertia for b in buses]), ("damping", [b.damping for b in buses]),
-              ("governor droop", [b.governor_droop for b in buses]),
+    shared = [("inertia", inertia), ("damping", damping),
+              ("governor droop", [b.governor_droop for b in network.buses]),
               *((name, [getattr(g, name) for g in noise]) for name in ("k1", "k2", "k3")),
               *((name, [getattr(c, name) for c in configs]) for name in modes.pop().parameters)]
     for label, values in shared:
         values = np.array(values, dtype=float)
         if not np.allclose(values, values[0], rtol=1e-12, atol=1e-12):
             raise ValidationError(f"heterogeneous {label}: {values.tolist()}")
-    return network.buses[0], configs[0], noise[0]
+    return configs[0], noise[0], float(inertia[0]), float(damping[0] + rg_inv[0])
 
 
 def h2_fleet_closed_form(network: PowerNetwork, configs, noise) -> float:
@@ -224,9 +225,8 @@ def h2_fleet_closed_form(network: PowerNetwork, configs, noise) -> float:
     Heterogeneous fleets and VI or IDROOP fleets have no closed form and
     are rejected.
     """
-    bus, config, gains = _uniform_fleet(network, configs, noise)
-    n, m, k1 = network.n_buses, bus.inertia, gains.k1
-    damping = bus.damping + 1.0 / bus.governor_droop
+    config, gains, m, damping = _uniform_fleet(network, configs, noise)
+    n, k1 = network.n_buses, gains.k1
     if config.mode is InverterMode.DC:
         damping += 1.0 / config.r_r
         return n * (k1 * k1 + (gains.k2 / config.r_r) ** 2) / (2.0 * m * damping)
@@ -245,8 +245,7 @@ def modal_decompose(network: PowerNetwork, configs, noise=None) -> ModalDecompos
     and all of them are built as one stack.  Requires identical parameters
     on every bus; heterogeneous input is rejected.
     """
-    noise = _noise_gains(noise, network.n_buses)
-    bus, config, gains = _uniform_fleet(network, configs, noise)
+    config, gains, inertia, damping = _uniform_fleet(network, configs, noise)
     eigenvalues, transform = np.linalg.eigh(network.laplacian)
     if abs(eigenvalues[0]) > 1e-9:
         raise NumericalError(f"smallest Laplacian eigenvalue {eigenvalues[0]:.3e} not ~0")
@@ -254,8 +253,7 @@ def modal_decompose(network: PowerNetwork, configs, noise=None) -> ModalDecompos
     transform[:, 0] = 1.0 / np.sqrt(network.n_buses)
     params = {name: np.broadcast_to(values, (len(eigenvalues), 1))
               for name, values in _parameters([config]).items()}
-    loop = _loop_matrices(eigenvalues[:, None, None], np.array([bus.inertia]),
-                          np.array([bus.damping + 1.0 / bus.governor_droop]),
+    loop = _loop_matrices(eigenvalues[:, None, None], np.array([inertia]), np.array([damping]),
                           [config.mode], params, [gains])
     return ModalDecomposition(eigenvalues=eigenvalues, transform=transform,
                               a=loop["a"], b=loop["b"], c=loop["c"])
@@ -270,6 +268,10 @@ def mode_norms(decomposition: ModalDecomposition) -> list[H2Result]:
     zero = int(np.count_nonzero(np.abs(decomposition.eigenvalues) < 1e-12))
     return (_h2(a[:zero], b[:zero], c[:zero], np.eye(a.shape[-1])[0])
             + _h2(a[zero:], b[zero:], c[zero:], None))
+
+
+def _coefficients(values, field: str) -> np.ndarray:
+    return np.array([_finite(v, f"{field}[{i}]") for i, v in enumerate(values)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -287,10 +289,11 @@ def optimal_allocation(delta_p: float, alpha_g, alpha_r) -> OptimalAllocation:
     """Minimize sum(alpha/2 * dq^2) subject to sum(dq) = delta_p.
 
     The stationarity conditions give dq_i = lambda / alpha_i with the
-    multiplier lambda = delta_p / sum(1/alpha).
+    multiplier lambda = delta_p / sum(1/alpha).  delta_p and every cost
+    coefficient must be a finite number; errors name the entry.
     """
-    alpha_g = np.asarray(alpha_g, dtype=float)
-    alpha_r = np.asarray(alpha_r, dtype=float)
+    delta_p = _finite(delta_p, "delta_p")
+    alpha_g, alpha_r = _coefficients(alpha_g, "alpha_g"), _coefficients(alpha_r, "alpha_r")
     if alpha_g.size + alpha_r.size == 0:
         raise ValidationError("no participating resources")
     if np.any(alpha_g <= 0) or np.any(alpha_r <= 0):
@@ -326,22 +329,21 @@ def verify_steady_state_optimality(network: PowerNetwork, configs,
     By default the cost coefficients are taken equal to the droops (the
     optimal tuning); passing different alphas exposes the gap.  The
     imbalance is delta_P = sum(p_in + q0) - sum(D_i*omega0), and optimal
-    tuning makes the multiplier equal omega0.
+    tuning makes the multiplier equal omega0.  ``tol`` must be finite and >= 0.
     """
+    configs, _, _, damping, _ = _fleet(network.buses, configs)
+    _require(_finite(tol, "tol") >= 0, "tol: must be >= 0")
     ss = steady_state(network, configs)
     droop_ids = [i for i, c in enumerate(configs) if c.droop_active]
     if alpha_g is None:
         alpha_g = [b.governor_droop for b in network.buses]
     if alpha_r is None:
         alpha_r = [configs[i].r_r for i in droop_ids]
-    alpha_g = np.asarray(alpha_g, dtype=float)
-    alpha_r = np.asarray(alpha_r, dtype=float)
-    if alpha_r.size != len(droop_ids):
-        raise ValidationError(
-            f"need one alpha_r per droop-active bus ({len(droop_ids)}), got {alpha_r.size}"
-        )
+    _require(len(alpha_g) == network.n_buses,
+             f"need one alpha_g per bus ({network.n_buses}), got {len(alpha_g)}")
+    _require(len(alpha_r) == len(droop_ids),
+             f"need one alpha_r per droop-active bus ({len(droop_ids)}), got {len(alpha_r)}")
 
-    damping = np.array([b.damping for b in network.buses])
     delta_p = float(
         network.injections().sum() + sum(c.q0 for c in configs) - damping.sum() * ss.omega0
     )

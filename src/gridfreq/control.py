@@ -5,18 +5,20 @@ Four operating modes are supported: constant power (CP), proportional droop
 dynamic droop law (IDROOP) whose internal first-order state filters both the
 frequency and its derivative before they reach the grid.  The laws
 themselves are written down once, as matrices, in :mod:`gridfreq.dynamics`.
+Every function that takes a fleet, one inverter config and one set of noise
+gains per bus, reads it through :func:`_fleet`, the one place that checks it.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _is_finite, _records, _require
+from .network import Bus
 
 __all__ = [
     "InverterMode",
@@ -31,54 +33,6 @@ __all__ = [
 # Condition values closer to zero than this are flagged "marginal"; the
 # certificate requires strict positivity, so they fail either way.
 MARGINAL_TOL = 1e-12
-
-
-def _is_finite(value) -> bool:
-    """True for a real number that a float holds finitely; False for a bool,
-    NaN, an infinity, an int past the float range and anything that is not a
-    number."""
-    if isinstance(value, (bool, np.bool_)):
-        return False
-    try:
-        return math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
-
-
-def _is_integer(value) -> bool:
-    """True for an int, numpy's included, and False for a bool."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
-
-
-def _require(condition, message):
-    if not condition:
-        raise ValidationError(message)
-
-
-def _finite(value, field: str) -> float:
-    """A real number (not a string or boolean) as a finite float; errors name the field."""
-    _require(isinstance(value, numbers.Real) and not isinstance(value, bool),
-             f"{field}: must be a number")
-    _require(_is_finite(value), f"{field}: must be finite")
-    return float(value)
-
-
-def _integer(value, field: str) -> int:
-    _require(_is_integer(value), f"{field}: must be an integer")
-    return int(value)
-
-
-def _records(values, kind, field: str) -> tuple:
-    """The iterable ``values`` of ``kind`` records as a tuple; errors name field and value."""
-    message = f"{field} must be {kind.__name__} records, got "
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise ValidationError(message + repr(values)) from None
-    for value in values:
-        if not isinstance(value, kind):
-            raise ValidationError(message + repr(value))
-    return values
 
 
 # Every per-bus parameter some inverter law reads, in the order sweep errors list them
@@ -188,6 +142,23 @@ def uniform_fleet(n: int, mode, **params) -> list[InverterConfig]:
     return [replace(cfg) for _ in range(n)]
 
 
+def _fleet(buses, configs, noise=None):
+    """A fleet's configs and noise gains as tuples (no noise is zero gains) and
+    its buses' inertia, damping and 1/r_g as arrays.  Configs, buses and noise
+    must be records of their kind, every bus a generator, one of each per bus."""
+    configs = _records(configs, InverterConfig, "configs")
+    buses = _records(buses, Bus, "buses")
+    _require(all(b.is_generator for b in buses), "dynamic analysis requires an "
+             "all-generator network; Kron-reduce load buses first")
+    _require(len(configs) == len(buses), "need one inverter config per bus: "
+             f"{len(configs)} configs for {len(buses)} buses")
+    noise = _records((NoiseGains(),) * len(buses) if noise is None else noise, NoiseGains, "noise")
+    _require(len(noise) == len(buses), f"need one NoiseGains per bus, got {len(noise)}")
+    return (configs, noise, np.array([b.inertia for b in buses], dtype=float),
+            np.array([b.damping for b in buses], dtype=float),
+            1.0 / np.array([b.governor_droop for b in buses], dtype=float))
+
+
 @dataclass(frozen=True)
 class StabilityCondition:
     """Stability test for one bus.
@@ -220,8 +191,9 @@ def check_decentralized_stability(configs, buses) -> StabilityCertificate:
     as vacuously passing with a note; the certificate only covers the
     IDROOP part of a mixed fleet.
     """
+    configs, _, _, damping, rg_inv = _fleet(buses, configs)
     rows = []
-    for bus, cfg in zip(buses, configs):
+    for bus, cfg, d in zip(buses, configs, (damping + rg_inv).tolist()):
         if cfg.mode is not InverterMode.IDROOP:
             rows.append(
                 StabilityCondition(
@@ -234,7 +206,7 @@ def check_decentralized_stability(configs, buses) -> StabilityCertificate:
         rr_inv = 1.0 / cfg.r_r
         denom = cfg.delta * (cfg.nu + rr_inv)
         condition1 = cfg.nu / denom
-        condition2 = (bus.damping + 1.0 / bus.governor_droop) + cfg.nu * rr_inv / (cfg.nu + rr_inv)
+        condition2 = d + cfg.nu * rr_inv / (cfg.nu + rr_inv)
         passed = condition1 > 0.0 and condition2 > 0.0
         note = ""
         if abs(condition1) < MARGINAL_TOL or abs(condition2) < MARGINAL_TOL:

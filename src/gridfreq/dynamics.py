@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .control import PARAMETERS, InverterConfig, InverterMode, NoiseGains, _records
+from .control import PARAMETERS, InverterConfig, InverterMode, NoiseGains, _fleet
 from .errors import NumericalError, ValidationError
 from .network import PowerNetwork
 
@@ -112,22 +112,6 @@ class StateSpaceModel:
         return _rotation_null_vector(self.n_buses, self.n_states)
 
 
-def _fleet_arrays(network: PowerNetwork, configs):
-    if not network.all_generators:
-        raise ValidationError(
-            "dynamic analysis requires an all-generator network; Kron-reduce load buses first"
-        )
-    if len(configs) != network.n_buses:
-        raise ValidationError(
-            f"need one inverter config per bus: {len(configs)} configs for "
-            f"{network.n_buses} buses"
-        )
-    m = np.array([b.inertia for b in network.buses], dtype=float)
-    d = np.array([b.damping for b in network.buses], dtype=float)
-    rg_inv = np.array([1.0 / b.governor_droop for b in network.buses], dtype=float)
-    return m, d, rg_inv
-
-
 def sync_frequency(network: PowerNetwork, configs) -> float:
     """Common steady-state frequency deviation reached after an imbalance.
 
@@ -137,7 +121,7 @@ def sync_frequency(network: PowerNetwork, configs) -> float:
     the dynamic droop settles to the same slope as the static one).  Either
     sum leaving the float range is a ValidationError.
     """
-    _, d, rg_inv = _fleet_arrays(network, configs)
+    configs, _, _, d, rg_inv = _fleet(network.buses, configs)
     with np.errstate(over="ignore"):  # a sum past the float range is named below
         numerator = float(network.injections().sum() + sum(c.q0 for c in configs))
         denominator = float((d + rg_inv).sum())
@@ -156,7 +140,7 @@ def steady_state(network: PowerNetwork, configs) -> SteadyState:
     """Full synchronous steady state (frequency, angles, inverter outputs).
     Angles past the float range, from injections too large for the lines that
     carry them, are a NumericalError."""
-    m, d, rg_inv = _fleet_arrays(network, configs)
+    configs, _, _, d, rg_inv = _fleet(network.buses, configs)
     omega0 = sync_frequency(network, configs)
     rr_inv = np.array([1.0 / c.r_r if c.droop_active else 0.0 for c in configs])
     q0 = np.array([c.q0 for c in configs])
@@ -263,23 +247,6 @@ def _loop_matrices(laplacian, inertia, damping, modes, params, noise) -> dict:
                 power_injection=-m_v[..., :, None] * injection[..., w, :])
 
 
-def _loop_stack(network: PowerNetwork, configs, noise, params) -> dict:
-    """:func:`_loop_matrices` of ``network`` under the modes of ``configs`` at
-    the parameter points ``params`` (see :func:`_parameters`)."""
-    m, d, rg_inv = _fleet_arrays(network, configs)
-    return _loop_matrices(network.laplacian, m, d + rg_inv, [c.mode for c in configs], params,
-                          _noise_gains(noise, network.n_buses))
-
-
-def _noise_gains(noise, n: int) -> tuple[NoiseGains, ...]:
-    if noise is None:
-        return tuple(NoiseGains() for _ in range(n))
-    noise = _records(noise, NoiseGains, "noise")
-    if len(noise) != n:
-        raise ValidationError(f"need one NoiseGains per bus, got {len(noise)}")
-    return noise
-
-
 def _rotation_null_vector(n: int, dim: int) -> np.ndarray:
     v = np.zeros(dim)
     v[:n] = 1.0 / np.sqrt(n)
@@ -297,13 +264,14 @@ def assemble_closed_loop(network: PowerNetwork, configs,
     the IDROOP states (scaled by -nu/m), which is exactly how the controller
     sees the true frequency derivative.
     """
-    configs = _records(configs, InverterConfig, "configs")
-    loop = _loop_stack(network, configs, noise, _parameters(configs))
+    configs, noise, m, d, rg_inv = _fleet(network.buses, configs, noise)
+    loop = _loop_matrices(network.laplacian, m, d + rg_inv, [c.mode for c in configs],
+                          _parameters(configs), noise)
     return StateSpaceModel(
         **{key: value[0] for key, value in loop.items()},
         n_buses=network.n_buses,
         idroop_buses=tuple(i for i, c in enumerate(configs) if c.mode is InverterMode.IDROOP),
         configs=configs,
-        noise=_noise_gains(noise, network.n_buses),
+        noise=noise,
         network=network,
     )

@@ -12,8 +12,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .control import InverterConfig, NoiseGains, _finite, _integer, _mode, _require
-from .errors import ValidationError
+from .control import InverterConfig, NoiseGains, _mode
+from .errors import ValidationError, _finite, _integer, _require
 from .network import Bus, Line, PowerNetwork, kron_reduce_network
 from .sim import Disturbance
 from .sweep import SweepAxis, SweepSpec

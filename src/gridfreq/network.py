@@ -18,8 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .control import _is_finite, _is_integer
-from .errors import ValidationError
+from .errors import ValidationError, _integer, _is_finite, _is_integer
 
 __all__ = [
     "Bus",
@@ -216,13 +215,13 @@ def build_laplacian(network: PowerNetwork) -> np.ndarray:
 def kron_reduce(laplacian: np.ndarray, retained) -> np.ndarray:
     """Eliminate all buses not in ``retained`` via the Schur complement.
 
-    Rows/columns of the result follow ``sorted(retained)``.  The eliminated
-    block must be invertible, which holds whenever every eliminated bus
-    connects (possibly indirectly) to a retained one.
+    Rows/columns of the result follow ``sorted(retained)``, a set of integer
+    bus ids.  The eliminated block must be invertible, which holds whenever
+    every eliminated bus connects (possibly indirectly) to a retained one.
     """
     lap = np.asarray(laplacian, dtype=float)
     n = lap.shape[0]
-    retained = sorted(set(int(i) for i in retained))
+    retained = sorted(set(_integer(i, f"retained id {i!r}") for i in retained))
     if not retained:
         raise ValidationError("Kron reduction needs a nonempty retained set")
     if retained[0] < 0 or retained[-1] >= n:

@@ -36,9 +36,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .control import _is_finite, _is_integer, _records, _require
 from .dynamics import StateSpaceModel, SteadyState
-from .errors import InjectionOverflow, NumericalError, SimulationDiverged, ValidationError
+from .errors import (InjectionOverflow, NumericalError, SimulationDiverged, ValidationError,
+                     _is_finite, _is_integer, _records, _require)
 
 __all__ = [
     "Disturbance",

@@ -27,9 +27,9 @@ from itertools import product
 import numpy as np
 
 from .analysis import _h2
-from .control import PARAMETERS, InverterConfig, InverterMode, _finite, _integer, _records, _require
-from .dynamics import _loop_stack, _parameters, _rotation_null_vector, assemble_closed_loop
-from .errors import NumericalError, ValidationError
+from .control import PARAMETERS, InverterMode, _fleet
+from .dynamics import _loop_matrices, _parameters, _rotation_null_vector, assemble_closed_loop
+from .errors import NumericalError, ValidationError, _finite, _integer, _records, _require
 from .sim import _physical_memory, compute_metrics, simulate_deterministic
 
 __all__ = ["SweepAxis", "SweepSpec", "run_sweep"]
@@ -150,9 +150,11 @@ def _named(error: NumericalError, index: int, axes, points) -> NumericalError:
     return NumericalError(f"sweep point {index} ({values}): {error}")
 
 
-def _h2_values(network, configs, noise, axes, points, indices) -> list[float]:
+def _h2_values(network, fleet, axes, points, indices) -> list[float]:
     """Squared H2 norm at the grid points ``indices``, inf where it is
-    infinite, one stack per chunk."""
+    infinite, one stack per chunk.  ``fleet`` is the fleet gate's result."""
+    configs, noise, inertia, damping, rg_inv = fleet
+    modes = [c.mode for c in configs]
     base = _parameters(configs)
     carriers = {axis.name: [i for i, c in enumerate(configs) if axis.name in c.mode.parameters]
                 for axis in axes}
@@ -166,7 +168,7 @@ def _h2_values(network, configs, noise, axes, points, indices) -> list[float]:
         params = {name: np.repeat(column, len(block), axis=0) for name, column in base.items()}
         for axis, column in zip(axes, block.T):
             params[axis.name][:, carriers[axis.name]] = column[:, None]
-        loop = _loop_stack(network, configs, noise, params)
+        loop = _loop_matrices(network.laplacian, inertia, damping + rg_inv, modes, params, noise)
         try:
             results = _h2(loop["a"], loop["b"], loop["c"], null_vector)
         except NumericalError as exc:
@@ -204,7 +206,8 @@ def run_sweep(network, configs, noise, spec: SweepSpec, sim_config=None) -> list
         if sim_config is None or not sim_config.disturbances:
             raise ValidationError("nadir sweep needs a SimConfig with disturbances")
 
-    configs = _records(configs, InverterConfig, "configs")
+    fleet = _fleet(network.buses, configs, noise)
+    configs, noise = fleet[:2]
     axes = spec.axes
     grids = _grids(axes)
     points = np.array(list(product(*grids))).reshape(-1, len(axes))
@@ -216,7 +219,7 @@ def run_sweep(network, configs, noise, spec: SweepSpec, sim_config=None) -> list
               for index, key in enumerate(points[:, carried])]
     indices = list(first.values())
     if spec.metric == "h2":
-        values = _h2_values(network, configs, noise, axes, points, indices)
+        values = _h2_values(network, fleet, axes, points, indices)
     else:
         values = _nadir_values(network, configs, noise, axes, points, indices, sim_config)
     value_of = dict(zip(indices, values))

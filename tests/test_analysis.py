@@ -278,6 +278,10 @@ class TestClosedForm:
         assert h2_fleet_closed_form(ten_bus, uniform_fleet(10, "CP"), noise) == h2_closed_form(
             "SWING", 10, 1.0, 0.1, 15.0, k1=0.1)
 
+    def test_fleet_closed_form_without_noise_is_zero(self, ten_bus, dc_fleet):
+        # no noise means zero gains, as in modal_decompose
+        assert h2_fleet_closed_form(ten_bus, dc_fleet, None) == 0.0
+
     def test_droop_monotone_in_inverter_droop_without_measurement_noise(self):
         # with k2 = 0 a stronger droop (smaller r_r) strictly helps
         values = [h2_closed_form("DC", 10, 1.0, 0.1, 15.0, r_r, 0.1, 0.0)
@@ -446,6 +450,12 @@ class TestModal:
             modal_decompose(net, mixed)
 
 
+def droop_optimality(**kwargs):
+    """verify_steady_state_optimality of the ten-bus network's DC fleet."""
+    return verify_steady_state_optimality(ten_bus_network(), uniform_fleet(10, "DC", r_r=15.0),
+                                          **kwargs)
+
+
 class TestOptimalAllocation:
     def test_zero_imbalance(self):
         allocation = optimal_allocation(0.0, [1.0, 2.0], [3.0])
@@ -503,6 +513,25 @@ class TestOptimalAllocation:
             optimal_allocation(1.0, [], [])
         with pytest.raises(ValidationError):
             optimal_allocation(1.0, [0.0], [1.0])
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: optimal_allocation(1.0, [float("nan")], [1.0]), "alpha_g[0]: must be finite"),
+        (lambda: optimal_allocation(1.0, [1.0], [2.0, float("inf")]),
+         "alpha_r[1]: must be finite"),
+        (lambda: optimal_allocation(1.0, ["x"], [1.0]), "alpha_g[0]: must be a number"),
+        (lambda: optimal_allocation(float("nan"), [1.0], [1.0]), "delta_p: must be finite"),
+        (lambda: optimal_allocation(1.0, [1.0], [-1.0]), "cost coefficients must be > 0"),
+        (lambda: droop_optimality(alpha_g=[15.0] * 3), "need one alpha_g per bus (10), got 3"),
+        (lambda: droop_optimality(alpha_r=[15.0] * 3),
+         "need one alpha_r per droop-active bus (10), got 3"),
+        (lambda: droop_optimality(tol=float("nan")), "tol: must be finite"),
+        (lambda: droop_optimality(tol=-1e-9), "tol: must be >= 0"),
+    ], ids=["alpha_g-nan", "alpha_r-inf", "alpha_g-string", "delta_p-nan", "alpha_r-negative",
+            "alpha_g-count", "alpha_r-count", "tol-nan", "tol-negative"])
+    def test_bad_inputs_named(self, build, message):
+        with pytest.raises(ValidationError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
 
 
 class TestSteadyStateOptimality:

@@ -12,14 +12,21 @@ from gridfreq import (
     SweepSpec,
     ValidationError,
     check_decentralized_stability,
+    h2_fleet_closed_form,
+    modal_decompose,
     run_sweep,
+    steady_state,
+    sync_frequency,
     uniform_fleet,
+    verify_steady_state_optimality,
 )
 from gridfreq.dynamics import assemble_closed_loop
 from conftest import path_network, random_connected_network, ten_bus_network
 from oracles import idroop_step, inverter_power, lyapunov_diagnostics
 
 NAN = float("nan")
+# Nine valid configs and one that is not a record, for the ten-bus network
+NOT_A_RECORD = [InverterConfig.droop()] * 9 + ["DC"]
 
 
 class TestInverterConfig:
@@ -71,10 +78,33 @@ class TestInverterConfig:
         (lambda: run_sweep(ten_bus_network(), ["DC"] * 10, None,
                            SweepSpec(axes=(SweepAxis("nu", 0.1, 1.0, 2),), metric="h2")),
          "configs must be InverterConfig records, got 'DC'"),
+        *((build, "configs must be InverterConfig records, got 'DC'") for build in (
+            lambda: steady_state(ten_bus_network(), NOT_A_RECORD),
+            lambda: sync_frequency(ten_bus_network(), NOT_A_RECORD),
+            lambda: verify_steady_state_optimality(ten_bus_network(), NOT_A_RECORD),
+            lambda: modal_decompose(ten_bus_network(), NOT_A_RECORD),
+            lambda: h2_fleet_closed_form(ten_bus_network(), NOT_A_RECORD, None),
+            lambda: check_decentralized_stability(NOT_A_RECORD, ten_bus_network().buses))),
+        (lambda: check_decentralized_stability(uniform_fleet(5, "DC", r_r=15.0),
+                                               ten_bus_network().buses),
+         "need one inverter config per bus: 5 configs for 10 buses"),
+        (lambda: modal_decompose(ten_bus_network(), uniform_fleet(3, "DC", r_r=15.0)),
+         "need one inverter config per bus: 3 configs for 10 buses"),
+        (lambda: h2_fleet_closed_form(ten_bus_network(), uniform_fleet(10, "DC", r_r=15.0),
+                                      [NoiseGains(k1=0.1)] * 3),
+         "need one NoiseGains per bus, got 3"),
+        (lambda: check_decentralized_stability(uniform_fleet(10, "IDROOP", r_r=15.0, delta=6.0,
+                                                             nu=0.9),
+                                               [*ten_bus_network().buses[:9], "bus 9"]),
+         "buses must be Bus records, got 'bus 9'"),
     ], ids=["q0", "r_r", "m_v", "delta", "nu", "nu-inf", "k1", "k2", "k3-inf", "r_r-bool",
             "q0-numpy-bool", "k1-bool", "mode", "fleet-mode", "nu-on-dc", "sweep-axes-none",
             "sweep-axis-dict", "disturbances-none", "configs-string", "noise-string",
-            "sweep-configs-string"])
+            "sweep-configs-string", "steady-state-configs-string",
+            "sync-frequency-configs-string", "optimality-configs-string",
+            "modal-configs-string", "closed-form-configs-string", "stability-configs-string",
+            "stability-five-configs", "modal-three-configs", "closed-form-three-noise",
+            "stability-buses-string"])
     def test_non_finite_parameters_named(self, build, message):
         with pytest.raises(ValidationError) as excinfo:
             build()

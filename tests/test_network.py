@@ -92,6 +92,19 @@ class TestKronReduce:
         with pytest.raises(ValidationError, match="nonempty"):
             kron_reduce(lap, set())
 
+    @pytest.mark.parametrize("retained,shown", [([0, 2.7], "2.7"), ([True, 3], "True"),
+                                                 (np.array([0.0, 2.0]), repr(np.float64(0.0)))])
+    def test_non_integer_retained_rejected(self, retained, shown):
+        # int() would keep bus 2 for 2.7 and bus 1 for True
+        lap = build_laplacian(simple_net(4, [Line(0, 1, 1.0), Line(1, 2, 1.0), Line(2, 3, 1.0)]))
+        with pytest.raises(ValidationError) as excinfo:
+            kron_reduce(lap, retained)
+        assert str(excinfo.value) == f"retained id {shown}: must be an integer"
+
+    def test_numpy_integer_retained_accepted(self):
+        lap = build_laplacian(simple_net(3, [Line(0, 1, 1.0), Line(1, 2, 1.0)]))
+        assert np.array_equal(kron_reduce(lap, np.array([0, 2])), kron_reduce(lap, [0, 2]))
+
     def test_load_island_named(self):
         # hand-built Laplacian of two components: eliminating the island is singular
         lap = np.array(
