@@ -326,20 +326,22 @@ def verify_steady_state_optimality(network: PowerNetwork, configs,
                                    tol: float = 1e-9) -> OptimalityReport:
     """Check that the fleet's steady-state response solves the dispatch problem.
 
-    By default the cost coefficients are taken equal to the droops (the
-    optimal tuning); passing different alphas exposes the gap.  The
-    imbalance is delta_P = sum(p_in + q0) - sum(D_i*omega0), and optimal
-    tuning makes the multiplier equal omega0.  ``tol`` must be finite and >= 0.
+    By default the governed buses' and droop-active inverters' droops are the
+    costs (the optimal tuning); passing different alphas, one per bus, exposes
+    the gap.  The imbalance is delta_P = sum(p_in + q0) - sum(D_i*omega0), and
+    optimal tuning makes the multiplier equal omega0.  ``tol`` must be finite and >= 0.
     """
-    configs, _, _, damping, _ = _fleet(network.buses, configs)
+    configs, _, _, damping, rg_inv = _fleet(network.buses, configs)
     _require(_finite(tol, "tol") >= 0, "tol: must be >= 0")
     ss = steady_state(network, configs)
     droop_ids = [i for i, c in enumerate(configs) if c.droop_active]
-    if alpha_g is None:
-        alpha_g = [b.governor_droop for b in network.buses]
+    governed = list(range(network.n_buses))
+    if alpha_g is None:  # an ungoverned bus (r_g = inf) takes no share: omega0 * 0
+        governed = np.flatnonzero(rg_inv).tolist()
+        alpha_g = [network.buses[i].governor_droop for i in governed]
     if alpha_r is None:
         alpha_r = [configs[i].r_r for i in droop_ids]
-    _require(len(alpha_g) == network.n_buses,
+    _require(len(alpha_g) == len(governed),
              f"need one alpha_g per bus ({network.n_buses}), got {len(alpha_g)}")
     _require(len(alpha_r) == len(droop_ids),
              f"need one alpha_r per droop-active bus ({len(droop_ids)}), got {len(alpha_r)}")
@@ -348,7 +350,8 @@ def verify_steady_state_optimality(network: PowerNetwork, configs,
         network.injections().sum() + sum(c.q0 for c in configs) - damping.sum() * ss.omega0
     )
     allocation = optimal_allocation(delta_p, alpha_g, alpha_r)
-    gap_g = float(np.max(np.abs(allocation.delta_q_g - ss.delta_q_g_star), initial=0.0))
+    gap_g = float(np.max(np.abs(allocation.delta_q_g - ss.delta_q_g_star[governed]),
+                         initial=0.0))
     gap_r = float(
         np.max(np.abs(allocation.delta_q_r - ss.delta_q_r_star[droop_ids]), initial=0.0)
     )

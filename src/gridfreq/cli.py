@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
 
@@ -69,15 +68,6 @@ def _emit(obj, path: Path | None = None) -> None:
     print(text)
 
 
-@contextmanager
-def _document_bus_ids(system):
-    """Name the bus of an injection overflow by its document id, not its model index."""
-    try:
-        yield
-    except InjectionOverflow as exc:
-        raise InjectionOverflow(exc.bus, system.bus_ids[exc.bus]) from None
-
-
 def _steady_state_cmd(args, system) -> int:
     ss = steady_state(system.network, system.configs)
     report = asdict(verify_steady_state_optimality(system.network, system.configs))
@@ -111,14 +101,12 @@ def _simulate_cmd(args, system) -> int:
                        seed=args.seed, noise_enabled=args.stochastic)
     model = assemble_closed_loop(system.network, system.configs, system.noise)
     simulate = simulate_stochastic if args.stochastic else simulate_deterministic
-    with _document_bus_ids(system):
-        trajectory = simulate(model, config)
+    trajectory = simulate(model, config)
     metrics = compute_metrics(trajectory)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_trajectory_csv(out_dir / TRAJECTORY_CSV, trajectory, system.bus_ids)
-    _emit(metrics, out_dir / METRICS_JSON)
+    args.out.mkdir(parents=True, exist_ok=True)
+    _write_trajectory_csv(args.out / TRAJECTORY_CSV, trajectory, system.bus_ids)
+    _emit(metrics, args.out / METRICS_JSON)
     return EXIT_OK
 
 
@@ -174,11 +162,9 @@ def _sweep_cmd(args, system) -> int:
     if spec.metric == "nadir":
         horizon = args.horizon if args.horizon is not None else 30.0
         sim_config = SimConfig(dt=args.dt, horizon=horizon, disturbances=system.disturbances)
-    with _document_bus_ids(system):
-        rows = run_sweep(system.network, system.configs, system.noise, spec, sim_config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / SWEEP_CSV
+    rows = run_sweep(system.network, system.configs, system.noise, spec, sim_config)
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / SWEEP_CSV
     with path.open("w") as fh:
         fh.write("axis1,axis2,metric\n")
         for first, second, value in rows:
@@ -211,7 +197,7 @@ def _build_parser() -> _Parser:
 
     p = command("simulate", _simulate_cmd,
                 "time-domain run; writes trajectory CSV + metrics JSON")
-    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--out", type=Path, default=Path("."), help="output directory")
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--horizon", type=float, default=None,
                    help="defaults to 30 s deterministic, 2000 s stochastic")
@@ -227,7 +213,7 @@ def _build_parser() -> _Parser:
 
     p = command("sweep", _sweep_cmd, "metric grid over controller parameters; writes CSV")
     p.add_argument("--sweep", required=True, help="sweep spec (JSON)")
-    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--out", type=Path, default=Path("."), help="output directory")
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--horizon", type=float, default=None)
     return parser
@@ -240,7 +226,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
     try:
-        return args.run(args, reduce_document(load_document(args.network)))
+        system = reduce_document(load_document(args.network))
+        try:
+            return args.run(args, system)
+        except InjectionOverflow as exc:  # name the bus by its document id, not its model index
+            raise InjectionOverflow(exc.bus, system.bus_ids[exc.bus]) from None
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -6,7 +6,8 @@ dynamic droop law (IDROOP) whose internal first-order state filters both the
 frequency and its derivative before they reach the grid.  The laws
 themselves are written down once, as matrices, in :mod:`gridfreq.dynamics`.
 Every function that takes a fleet, one inverter config and one set of noise
-gains per bus, reads it through :func:`_fleet`, the one place that checks it.
+gains per bus, reads it through :func:`_fleet`, the one place that checks it
+and that names an invalid bus as the network's own validation does.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError, _is_finite, _records, _require
-from .network import Bus
+from .network import Bus, _bus_violations
 
 __all__ = [
     "InverterMode",
@@ -145,11 +146,14 @@ def uniform_fleet(n: int, mode, **params) -> list[InverterConfig]:
 def _fleet(buses, configs, noise=None):
     """A fleet's configs and noise gains as tuples (no noise is zero gains) and
     its buses' inertia, damping and 1/r_g as arrays.  Configs, buses and noise
-    must be records of their kind, every bus a generator, one of each per bus."""
+    must be records of their kind, every bus a generator that keeps the
+    network's bus rules, one of each per bus."""
     configs = _records(configs, InverterConfig, "configs")
     buses = _records(buses, Bus, "buses")
     _require(all(b.is_generator for b in buses), "dynamic analysis requires an "
              "all-generator network; Kron-reduce load buses first")
+    violations = [v for bus in buses for v in _bus_violations(bus)]
+    _require(not violations, "invalid network: " + "; ".join(violations))
     _require(len(configs) == len(buses), "need one inverter config per bus: "
              f"{len(configs)} configs for {len(buses)} buses")
     noise = _records((NoiseGains(),) * len(buses) if noise is None else noise, NoiseGains, "noise")

@@ -3,7 +3,8 @@
 The network is an undirected graph whose edges carry positive per-unit
 susceptances.  A network is validated once, when its cached read-only
 Laplacian (:attr:`PowerNetwork.laplacian`) is first read, and every analysis
-reads that matrix.  All dynamic analysis in this package runs on a network
+reads that matrix; the fleet gate applies the same per-bus rules to the
+buses it is handed.  All dynamic analysis in this package runs on a network
 where every bus hosts a generator; load buses are eliminated beforehand with
 :func:`kron_reduce` / :func:`kron_reduce_network`.  The library trusts the
 reduction's output; the tests check it against the Laplacian invariants
@@ -88,10 +89,6 @@ class PowerNetwork:
     def generator_ids(self) -> tuple[int, ...]:
         return tuple(b.id for b in self.buses if b.is_generator)
 
-    @property
-    def all_generators(self) -> bool:
-        return all(b.is_generator for b in self.buses)
-
     def injections(self) -> np.ndarray:
         return np.array([b.injection for b in self.buses], dtype=float)
 
@@ -148,39 +145,39 @@ def _components(adjacency: np.ndarray) -> list[list[int]]:
     return components
 
 
+def _bus_violations(bus: Bus) -> list[str]:
+    """One bus's violations of the network's bus rules; the fleet gate applies them too."""
+    violations = []
+    if bus.kind not in (GENERATOR, LOAD):
+        violations.append(f"bus {bus.id}: unknown kind {bus.kind!r}")
+    if not (_is_finite(bus.damping) and bus.damping >= 0):
+        violations.append(f"bus {bus.id}: damping must be finite and >= 0, got {bus.damping}")
+    if not _is_finite(bus.injection):
+        violations.append(f"bus {bus.id}: injection must be finite, got {bus.injection}")
+    if bus.is_generator:
+        for label, value in (("inertia", bus.inertia), ("governor droop", bus.governor_droop)):
+            # an infinite inertia or droop enters the dynamics as its zero inverse
+            if not (_is_finite(value) and value > 0 or value == math.inf):
+                violations.append(f"generator bus {bus.id}: {label} must be > 0")
+            elif not math.isfinite(1.0 / value):
+                violations.append(f"generator bus {bus.id}: {label} {value} has no finite inverse")
+    elif bus.inertia is not None or bus.governor_droop is not None:
+        violations.append(f"load bus {bus.id}: must not carry inertia/governor parameters")
+    return violations
+
+
 def validate_network(network: PowerNetwork) -> list[str]:
     """Collect structural violations; returns an empty list iff valid.
 
     Never raises: :attr:`PowerNetwork.laplacian` turns the diagnostics into
     a hard failure.
     """
-    violations = []
     n = network.n_buses
     ids = [b.id for b in network.buses]
-    if ids != list(range(n)):
-        violations.append(f"bus ids must be contiguous 0..{n - 1}, got {ids}")
-        return violations  # downstream checks index by id
+    if ids != list(range(n)):  # downstream checks index by id
+        return [f"bus ids must be contiguous 0..{n - 1}, got {ids}"]
 
-    for bus in network.buses:
-        if bus.kind not in (GENERATOR, LOAD):
-            violations.append(f"bus {bus.id}: unknown kind {bus.kind!r}")
-        if not (_is_finite(bus.damping) and bus.damping >= 0):
-            violations.append(f"bus {bus.id}: damping must be finite and >= 0, got {bus.damping}")
-        if not _is_finite(bus.injection):
-            violations.append(f"bus {bus.id}: injection must be finite, got {bus.injection}")
-        if bus.is_generator:
-            for label, value in (("inertia", bus.inertia), ("governor droop", bus.governor_droop)):
-                # an infinite inertia or droop enters the dynamics as its zero inverse
-                if not (_is_finite(value) and value > 0 or value == math.inf):
-                    violations.append(f"generator bus {bus.id}: {label} must be > 0")
-                elif not math.isfinite(1.0 / value):
-                    violations.append(f"generator bus {bus.id}: {label} {value} has no finite "
-                                      "inverse")
-        else:
-            if bus.inertia is not None or bus.governor_droop is not None:
-                violations.append(
-                    f"load bus {bus.id}: must not carry inertia/governor parameters"
-                )
+    violations = [v for bus in network.buses for v in _bus_violations(bus)]
 
     seen_pairs = set()
     adjacency = np.zeros((n, n), dtype=bool)

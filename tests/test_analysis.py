@@ -566,6 +566,18 @@ class TestSteadyStateOptimality:
         assert np.allclose(ss_droop.delta_q_r_star, ss_dyn.delta_q_r_star, atol=1e-12)
         assert verify_steady_state_optimality(net, dyn).passed
 
+    def test_ungoverned_bus_takes_no_share_by_default(self):
+        """A bus without a governor (r_g = inf) is no g-resource of the default costs."""
+        net = path_network(2, damping=0.75)
+        net = PowerNetwork([replace(net.buses[0], governor_droop=float("inf"), injection=0.3),
+                            replace(net.buses[1], injection=-0.5)], net.lines)
+        cfgs = [InverterConfig.droop(r_r=10.0), InverterConfig.idroop(r_r=20.0)]
+        report = verify_steady_state_optimality(net, cfgs)
+        assert report.passed
+        assert report.omega0 == pytest.approx(-0.2 / (1.5 + 1 / 15 + 1 / 10 + 1 / 20), rel=1e-12)
+        assert report.omega0 == pytest.approx(-0.11650, abs=5e-6)
+        assert report.max_gap_g <= 1e-15 and report.max_gap_r <= 1e-15
+
     def test_mismatched_costs_fail(self):
         net = ten_bus_network(injections={9: -0.5})
         cfgs = uniform_fleet(10, "DC", r_r=15.0)

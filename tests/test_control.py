@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,24 @@ class TestInverterConfig:
         with pytest.raises(ValidationError) as excinfo:
             build()
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("build,droop", [
+        (sync_frequency, -2.0),
+        (lambda net, fleet: check_decentralized_stability(fleet, net.buses), -2.0),
+        (lambda net, fleet: check_decentralized_stability(fleet, net.buses), 0.0),
+        (steady_state, 0.0),
+        (assemble_closed_loop, 0.0),
+    ], ids=["sync-frequency-negative", "stability-negative", "stability-zero",
+            "steady-state-zero", "assemble-zero"])
+    def test_fleet_gate_applies_bus_rules(self, build, droop):
+        """An invalid governor droop is named before anything reads it: no silent
+        0.0 or passed certificate, and no divide-by-zero warning on the way."""
+        net = path_network(2, damping=1.0, governor_droop=droop)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = "^invalid network: generator bus 0: governor droop must be > 0"
+            with pytest.raises(ValidationError, match=message):
+                build(net, [InverterConfig.idroop()] * 2)
 
 
 class TestInverterPower:
