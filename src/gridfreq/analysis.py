@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import InverterMode, _fleet
-from .dynamics import StateSpaceModel, _loop_matrices, _parameters, steady_state
+from .dynamics import StateSpaceModel, _loop_matrices, _parameters, _steady_state
 from .errors import NumericalError, ValidationError, _finite, _require
 from .network import PowerNetwork
 
@@ -331,9 +331,9 @@ def verify_steady_state_optimality(network: PowerNetwork, configs,
     the gap.  The imbalance is delta_P = sum(p_in + q0) - sum(D_i*omega0), and
     optimal tuning makes the multiplier equal omega0.  ``tol`` must be finite and >= 0.
     """
-    configs, _, _, damping, rg_inv = _fleet(network.buses, configs)
+    configs, _, _, damping, rg_inv = fleet = _fleet(network.buses, configs)
     _require(_finite(tol, "tol") >= 0, "tol: must be >= 0")
-    ss = steady_state(network, configs)
+    ss = _steady_state(network, fleet)
     droop_ids = [i for i, c in enumerate(configs) if c.droop_active]
     governed = list(range(network.n_buses))
     if alpha_g is None:  # an ungoverned bus (r_g = inf) takes no share: omega0 * 0

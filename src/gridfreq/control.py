@@ -5,9 +5,9 @@ Four operating modes are supported: constant power (CP), proportional droop
 dynamic droop law (IDROOP) whose internal first-order state filters both the
 frequency and its derivative before they reach the grid.  The laws
 themselves are written down once, as matrices, in :mod:`gridfreq.dynamics`.
-Every function that takes a fleet, one inverter config and one set of noise
-gains per bus, reads it through :func:`_fleet`, the one place that checks it
-and that names an invalid bus as the network's own validation does.
+Every public function that takes a fleet, one inverter config and one set of
+noise gains per bus, checks it once through :func:`_fleet`, which names an
+invalid bus as the network's own validation does; private cores take its result.
 """
 
 from __future__ import annotations
@@ -145,9 +145,9 @@ def uniform_fleet(n: int, mode, **params) -> list[InverterConfig]:
 
 def _fleet(buses, configs, noise=None):
     """A fleet's configs and noise gains as tuples (no noise is zero gains) and
-    its buses' inertia, damping and 1/r_g as arrays.  Configs, buses and noise
-    must be records of their kind, every bus a generator that keeps the
-    network's bus rules, one of each per bus."""
+    its buses' inertia, damping and 1/r_g as arrays, read once a public call.
+    Configs, buses and noise must be records of their kind, every bus a
+    generator that keeps the network's bus rules, one of each per bus."""
     configs = _records(configs, InverterConfig, "configs")
     buses = _records(buses, Bus, "buses")
     _require(all(b.is_generator for b in buses), "dynamic analysis requires an "

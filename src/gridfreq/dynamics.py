@@ -6,10 +6,10 @@ The frequency-derivative feedback of VI and IDROOP units is eliminated by
 substituting the swing equation, so the model stays in explicit standard
 form (no descriptor mass matrix).  This module is the one place where
 inverter configs become matrices: the state equation, the noise and
-injection inputs, and the inverter-power output.  Modal subsystems are the
-same loop built on a stack of one-bus networks.  Assembly and the steady
-state read the network's cached Laplacian; a model solves its reference
-steady state only when something reads it, so an H2 evaluation never does.
+injection inputs, and the inverter-power output; modal subsystems are the
+same loop on a stack of one-bus networks.  Public functions gate their fleet
+once and private cores take the result.  Assembly and the steady state read
+the cached Laplacian; a model solves its reference steady state on first read.
 """
 
 from __future__ import annotations
@@ -121,7 +121,11 @@ def sync_frequency(network: PowerNetwork, configs) -> float:
     the dynamic droop settles to the same slope as the static one).  Either
     sum leaving the float range is a ValidationError.
     """
-    configs, _, _, d, rg_inv = _fleet(network.buses, configs)
+    return _sync_frequency(network, _fleet(network.buses, configs))
+
+
+def _sync_frequency(network: PowerNetwork, fleet) -> float:
+    configs, _, _, d, rg_inv = fleet
     with np.errstate(over="ignore"):  # a sum past the float range is named below
         numerator = float(network.injections().sum() + sum(c.q0 for c in configs))
         denominator = float((d + rg_inv).sum())
@@ -140,8 +144,12 @@ def steady_state(network: PowerNetwork, configs) -> SteadyState:
     """Full synchronous steady state (frequency, angles, inverter outputs).
     Angles past the float range, from injections too large for the lines that
     carry them, are a NumericalError."""
-    configs, _, _, d, rg_inv = _fleet(network.buses, configs)
-    omega0 = sync_frequency(network, configs)
+    return _steady_state(network, _fleet(network.buses, configs))
+
+
+def _steady_state(network: PowerNetwork, fleet) -> SteadyState:
+    configs, _, _, d, rg_inv = fleet
+    omega0 = _sync_frequency(network, fleet)
     rr_inv = np.array([1.0 / c.r_r if c.droop_active else 0.0 for c in configs])
     q0 = np.array([c.q0 for c in configs])
 
@@ -153,9 +161,7 @@ def steady_state(network: PowerNetwork, configs) -> SteadyState:
     if not np.isfinite(theta).all():
         raise NumericalError("steady-state angles are not finite")
 
-    x_star = np.array(
-        [-omega0 / c.r_r for c in configs if c.mode is InverterMode.IDROOP]
-    )
+    x_star = np.array([-omega0 / c.r_r for c in configs if c.mode is InverterMode.IDROOP])
     return SteadyState(
         omega0=omega0,
         theta_star=theta,

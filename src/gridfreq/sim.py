@@ -181,18 +181,20 @@ def _rk4_propagators(a: np.ndarray, injection: np.ndarray, dt: float):
     return phi, psi
 
 
-def _input_events(config: SimConfig, n_buses: int, n_rows: int):
-    """The input schedule u of a run of n_rows samples as an event table: the
-    ascending rows at which a disturbance starts, row 0 always first, and u's
-    value from each on.  Events snap to the first grid point at or after
-    their nominal time, and each value adds the steps in the order given, as
-    ``u[start:, bus] += delta_p`` over the whole run does."""
-    starts = []
+def _grid_row(time: float, dt: float) -> float:
+    """First grid row at or after ``time``, 1e-9 steps forgiven; inf past the float range."""
+    return float(np.ceil(time / dt - 1e-9))
+
+
+def _input_events(config: SimConfig, n_buses: int):
+    """The input schedule u of a run as an event table: the ascending grid rows
+    at which a disturbance starts, row 0 first, and u's value from each on,
+    adding the steps in the order given as ``u[start:, bus] += delta_p`` does."""
     for dist in config.disturbances:
         if not 0 <= dist.bus < n_buses:
             raise ValidationError(f"disturbance bus {dist.bus} out of range")
-        starts.append(int(np.ceil(dist.time / config.dt - 1e-9)))
-    rows = np.unique([0, *(start for start in starts if start < n_rows)])
+    starts = [int(_grid_row(dist.time, config.dt)) for dist in config.disturbances]
+    rows = np.unique([0, *starts])
     inputs = np.zeros((rows.size, n_buses))
     with np.errstate(over="ignore", invalid="ignore"):
         for dist, start in zip(config.disturbances, starts):
@@ -228,7 +230,7 @@ def _step_count(model: StateSpaceModel, config: SimConfig) -> int:
     stochastic run of that document and its metrics count 13.17 MB;
     tracemalloc read 13.07 MB, against 12 MB of states.
     """
-    n_steps = config.horizon / config.dt  # a float: inf past the float range
+    n_steps = _grid_row(config.horizon, config.dt)
     d, n = model.n_states, model.n_buses
     size = ((n_steps + 1) * (d + 1) + (n_steps + 2) / 2 + (BLOCK_STEPS + 1) * (d + 4 * n)) * 8
     memory = _physical_memory()
@@ -237,7 +239,7 @@ def _step_count(model: StateSpaceModel, config: SimConfig) -> int:
             f"{n_steps:.3g} steps (horizon / dt) need {size:.3g} bytes at the run's peak, "
             f"more than the {memory:.3g} bytes of physical memory"
         )
-    return round(n_steps)
+    return int(n_steps)
 
 
 def _write_noise(model, config, drive) -> None:
@@ -265,7 +267,7 @@ def _write_noise(model, config, drive) -> None:
 def _march(model, config, initial_state) -> Trajectory:
     n_steps = _step_count(model, config)
     n, dim = model.n_buses, model.n_states
-    events = _input_events(config, n, n_steps + 1)
+    events = _input_events(config, n)
 
     z = np.zeros(dim) if initial_state is None else np.asarray(initial_state, dtype=float).copy()
     if z.shape != (dim,) or not np.all(np.isfinite(z)):

@@ -22,6 +22,7 @@ from gridfreq import (
     uniform_fleet,
     verify_steady_state_optimality,
 )
+from gridfreq import control
 from gridfreq.dynamics import assemble_closed_loop
 from conftest import path_network, random_connected_network, ten_bus_network
 from oracles import idroop_step, inverter_power, lyapunov_diagnostics
@@ -129,6 +130,29 @@ class TestInverterConfig:
             message = "^invalid network: generator bus 0: governor droop must be > 0"
             with pytest.raises(ValidationError, match=message):
                 build(net, [InverterConfig.idroop()] * 2)
+
+    @pytest.mark.parametrize("call", [
+        sync_frequency,
+        steady_state,
+        assemble_closed_loop,
+        verify_steady_state_optimality,
+        lambda net, fleet: check_decentralized_stability(fleet, net.buses),
+        modal_decompose,
+        lambda net, fleet: h2_fleet_closed_form(net, fleet, None),
+        lambda net, fleet: run_sweep(net, fleet, None, SweepSpec(
+            axes=(SweepAxis("r_r", 5.0, 30.0, 2),), metric="h2")),
+    ], ids=["sync-frequency", "steady-state", "assemble", "optimality", "stability", "modal",
+            "closed-form", "h2-sweep"])
+    def test_each_public_call_gates_its_fleet_once(self, monkeypatch, call):
+        """The gate applies the bus rules once a bus, so a public call that hands
+        its gated fleet on to private cores reads each bus exactly once."""
+        net = ten_bus_network()
+        net.laplacian  # built and validated before the spy starts
+        seen = []
+        rules = control._bus_violations
+        monkeypatch.setattr(control, "_bus_violations", lambda bus: seen.append(bus) or rules(bus))
+        call(net, uniform_fleet(10, "DC", r_r=15.0))  # a fleet with a closed form
+        assert seen == list(net.buses)
 
 
 class TestInverterPower:

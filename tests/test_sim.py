@@ -260,6 +260,18 @@ class TestDeterministic:
         assert np.abs(trajectory.omega_dev[: k]).max() == 0.0
         assert np.abs(trajectory.omega_dev[k + 1]).max() > 0.0
 
+    @pytest.mark.parametrize("horizon,steps", [(0.015, 2), (0.025, 3), (0.035, 4)])
+    def test_run_ends_at_the_first_grid_point_at_or_after_the_horizon(
+            self, ten_bus, dc_fleet, horizon, steps):
+        """A run and its disturbances snap to the grid by one rule, so a step at
+        the horizon starts on the run's last row instead of falling past it."""
+        model = assemble_closed_loop(ten_bus, dc_fleet)
+        config = SimConfig(dt=0.01, horizon=horizon, disturbances=(Disturbance(horizon, 2, 0.5),))
+        trajectory = simulate_deterministic(model, config)
+        assert len(trajectory.times) == steps + 1
+        assert trajectory.event_rows.tolist() == [0, steps]
+        assert trajectory.event_inputs[1, 2] == 0.5
+
     def test_virtual_inertia_power_jumps_at_event(self, ten_bus):
         cfgs = uniform_fleet(10, "VI", r_r=15.0, m_v=0.15)
         model = assemble_closed_loop(ten_bus, cfgs)
