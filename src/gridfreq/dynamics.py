@@ -9,7 +9,8 @@ inverter configs become matrices: the state equation, the noise and
 injection inputs, and the inverter-power output; modal subsystems are the
 same loop on a stack of one-bus networks.  Public functions gate their fleet
 once and private cores take the result.  Assembly and the steady state read
-the cached Laplacian; a model solves its reference steady state on first read.
+the cached Laplacian; a model keeps its gated fleet and solves its reference
+steady state from it on first read.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .control import PARAMETERS, InverterConfig, InverterMode, NoiseGains, _fleet
+from .control import PARAMETERS, InverterMode, _fleet
 from .errors import NumericalError, ValidationError
 from .network import PowerNetwork
 
@@ -63,7 +64,8 @@ class StateSpaceModel:
     stacks the three per-bus noise channels (w1 injection, w2 frequency
     measurement, w3 frequency-derivative measurement) and u is a per-bus
     power-injection disturbance.  The inverter-power deviation is
-    q_r_dev = power @ z + power_injection @ u.
+    q_r_dev = power @ z + power_injection @ u.  ``fleet`` is the gated fleet
+    the model was built from; its noise gains are already in b.
     """
 
     a: np.ndarray
@@ -74,15 +76,14 @@ class StateSpaceModel:
     power_injection: np.ndarray
     n_buses: int
     idroop_buses: tuple[int, ...]
-    configs: tuple[InverterConfig, ...]
-    noise: tuple[NoiseGains, ...]
+    fleet: tuple
     network: PowerNetwork
 
     @cached_property
     def reference(self) -> SteadyState:
-        """The steady state of ``network`` under ``configs`` that the
+        """The steady state of ``network`` under ``fleet`` that the
         deviations are taken about, solved on first read."""
-        return steady_state(self.network, self.configs)
+        return _steady_state(self.network, self.fleet)
 
     @property
     def n_states(self) -> int:
@@ -270,14 +271,17 @@ def assemble_closed_loop(network: PowerNetwork, configs,
     the IDROOP states (scaled by -nu/m), which is exactly how the controller
     sees the true frequency derivative.
     """
-    configs, noise, m, d, rg_inv = _fleet(network.buses, configs, noise)
+    return _assemble_closed_loop(network, _fleet(network.buses, configs, noise))
+
+
+def _assemble_closed_loop(network: PowerNetwork, fleet) -> StateSpaceModel:
+    configs, noise, m, d, rg_inv = fleet
     loop = _loop_matrices(network.laplacian, m, d + rg_inv, [c.mode for c in configs],
                           _parameters(configs), noise)
     return StateSpaceModel(
         **{key: value[0] for key, value in loop.items()},
         n_buses=network.n_buses,
         idroop_buses=tuple(i for i, c in enumerate(configs) if c.mode is InverterMode.IDROOP),
-        configs=configs,
-        noise=noise,
+        fleet=fleet,
         network=network,
     )

@@ -171,7 +171,7 @@ def parse_sweep_spec(obj: dict) -> SweepSpec:
 def _read_json(path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, not JSON, or an integer past int's digit limit
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, or past int or depth limits
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
 
 

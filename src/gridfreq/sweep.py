@@ -14,8 +14,8 @@ one H2 pass, which forms the products that cannot fail once per stack and
 then solves its points in order.  Stacks are cut into chunks under a fixed
 byte budget, so a large network's sweep never holds all its points'
 matrices at once.  A nadir sweep builds and runs one model per distinct
-point, because the march dominates it.  A numerical failure names the
-first grid point where it occurs.
+point from the fleet it gated, because the march dominates it.  A numerical
+failure names the first grid point where it occurs.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .analysis import _h2
 from .control import PARAMETERS, InverterMode, _fleet
-from .dynamics import _loop_matrices, _parameters, _rotation_null_vector, assemble_closed_loop
+from .dynamics import _assemble_closed_loop, _loop_matrices, _parameters, _rotation_null_vector
 from .errors import NumericalError, ValidationError, _finite, _integer, _records, _require
 from .sim import _physical_memory, compute_metrics, simulate_deterministic
 
@@ -177,11 +177,13 @@ def _h2_values(network, fleet, axes, points, indices) -> list[float]:
     return values
 
 
-def _nadir_values(network, configs, noise, axes, points, indices, sim_config) -> list[float]:
+def _nadir_values(network, fleet, axes, points, indices, sim_config) -> list[float]:
+    """Frequency nadir at the grid points ``indices``, one model and run per
+    point.  ``fleet`` is the fleet gate's result; a point swaps in its configs."""
     values = []
     for index in indices:
-        model = assemble_closed_loop(network, [_swept(c, axes, points[index]) for c in configs],
-                                     noise)
+        swept = tuple(_swept(c, axes, points[index]) for c in fleet[0])
+        model = _assemble_closed_loop(network, (swept, *fleet[1:]))
         try:
             values.append(compute_metrics(simulate_deterministic(model, sim_config)).nadir)
         except NumericalError as exc:
@@ -207,7 +209,7 @@ def run_sweep(network, configs, noise, spec: SweepSpec, sim_config=None) -> list
             raise ValidationError("nadir sweep needs a SimConfig with disturbances")
 
     fleet = _fleet(network.buses, configs, noise)
-    configs, noise = fleet[:2]
+    configs = fleet[0]
     axes = spec.axes
     grids = _grids(axes)
     points = np.array(list(product(*grids))).reshape(-1, len(axes))
@@ -221,7 +223,7 @@ def run_sweep(network, configs, noise, spec: SweepSpec, sim_config=None) -> list
     if spec.metric == "h2":
         values = _h2_values(network, fleet, axes, points, indices)
     else:
-        values = _nadir_values(network, configs, noise, axes, points, indices, sim_config)
+        values = _nadir_values(network, fleet, axes, points, indices, sim_config)
     value_of = dict(zip(indices, values))
     return [(float(point[0]), float(point[1]) if len(point) == 2 else None, float(value_of[owner]))
             for point, owner in zip(points, owners)]

@@ -347,7 +347,7 @@ class TestFrequencyWeighted:
         # deflation and Kronecker solve.
         mixed = mixed_fleet_model(np.random.default_rng(5))
         assert mixed.derivative_noise_present
-        assert {c.mode.value for c in mixed.configs} == {"CP", "DC", "IDROOP"}
+        assert {c.mode.value for c in mixed.fleet[0]} == {"CP", "DC", "IDROOP"}
         reference = oracles.gramian_h2(*oracles.effective_system(mixed))
         assert h2_frequency_weighted(mixed).value == pytest.approx(reference, rel=1e-9)
 

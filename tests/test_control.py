@@ -5,6 +5,7 @@ import pytest
 
 from gridfreq import (
     Bus,
+    Disturbance,
     InverterConfig,
     InverterMode,
     NoiseGains,
@@ -141,8 +142,12 @@ class TestInverterConfig:
         lambda net, fleet: h2_fleet_closed_form(net, fleet, None),
         lambda net, fleet: run_sweep(net, fleet, None, SweepSpec(
             axes=(SweepAxis("r_r", 5.0, 30.0, 2),), metric="h2")),
+        lambda net, fleet: assemble_closed_loop(net, fleet).reference,
+        lambda net, fleet: run_sweep(net, fleet, None, SweepSpec(
+            axes=(SweepAxis("r_r", 5.0, 30.0, 2),), metric="nadir"),
+            SimConfig(horizon=0.1, disturbances=(Disturbance(0.0, 0, 0.1),))),
     ], ids=["sync-frequency", "steady-state", "assemble", "optimality", "stability", "modal",
-            "closed-form", "h2-sweep"])
+            "closed-form", "h2-sweep", "model-reference", "nadir-sweep"])
     def test_each_public_call_gates_its_fleet_once(self, monkeypatch, call):
         """The gate applies the bus rules once a bus, so a public call that hands
         its gated fleet on to private cores reads each bus exactly once."""

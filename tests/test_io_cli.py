@@ -807,6 +807,19 @@ class TestSchemaErrors:
         assert err.startswith("error:") and "Traceback" not in err
         assert message in err
 
+    @pytest.mark.parametrize("command", ["steady-state --network {deep}",
+                                         "sweep --network {example} --sweep {deep} --out {out}"],
+                             ids=["document", "sweep-spec"])
+    def test_json_nested_past_the_parser_depth_is_named(self, capsys, tmp_path, command):
+        """JSON nested deeper than the parser can recurse is invalid JSON: a named
+        error, not a RecursionError traceback."""
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        argv = command.format(deep=deep, example=EXAMPLE, out=tmp_path).split()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {deep}: not valid JSON (") and "Traceback" not in err
+
     @pytest.mark.parametrize("flags,message", BAD_STEP_FLAGS.values(),
                              ids=BAD_STEP_FLAGS.keys())
     def test_non_finite_step_flags_rejected(self, capsys, tmp_path, flags, message):
