@@ -39,7 +39,7 @@ from .control import (
     check_decentralized_stability,
     uniform_fleet,
 )
-from .dynamics import StateSpaceModel, SteadyState, assemble_closed_loop, steady_state, sync_frequency
+from .dynamics import StateSpaceModel, SteadyState, assemble_closed_loop, steady_state
 from .errors import GridFreqError, NumericalError, SimulationDiverged, ValidationError
 from .io import (
     NetworkDocument,

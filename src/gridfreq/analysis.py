@@ -19,6 +19,8 @@ and solutions whose residual is not small.  The route also takes stacks of
 closed loops, as a sweep or the modes of a homogeneous fleet build them:
 the shift, the feedthrough and B_eff are formed once per stack, then each
 point in turn is solved and judged, and the first failing point raises.
+Modal, closed-form and optimality analyses read the fleet a model was
+assembled from; none of them gates a fleet again.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import InverterMode, _fleet
-from .dynamics import StateSpaceModel, _loop_matrices, _parameters, _steady_state
+from .control import InverterMode
+from .dynamics import StateSpaceModel, _loop_matrices, _parameters
 from .errors import NumericalError, ValidationError, _finite, _require
-from .network import PowerNetwork
 
 __all__ = [
     "H2Result",
@@ -197,17 +198,17 @@ class ModalDecomposition:
     c: np.ndarray
 
 
-def _uniform_fleet(network: PowerNetwork, configs, noise):
+def _uniform_fleet(model: StateSpaceModel):
     """Bus 0's inverter config, noise gains, inertia and damping plus 1/r_g,
-    read through the fleet gate (no noise is zero gains), after checking that
-    every bus shares the inverter mode and, to 1e-12, every parameter of the
-    closed loop; a heterogeneous fleet is rejected, naming the parameter."""
-    configs, noise, inertia, damping, rg_inv = _fleet(network.buses, configs, noise)
+    read off the model's gated fleet, after checking that every bus shares the
+    inverter mode and, to 1e-12, every parameter of the closed loop; a
+    heterogeneous fleet is rejected, naming the parameter."""
+    configs, noise, inertia, damping, rg_inv = model.fleet
     modes = {c.mode for c in configs}
     if len(modes) != 1:
         raise ValidationError(f"heterogeneous inverter modes: {sorted(m.value for m in modes)}")
     shared = [("inertia", inertia), ("damping", damping),
-              ("governor droop", [b.governor_droop for b in network.buses]),
+              ("governor droop", [b.governor_droop for b in model.network.buses]),
               *((name, [getattr(g, name) for g in noise]) for name in ("k1", "k2", "k3")),
               *((name, [getattr(c, name) for c in configs]) for name in modes.pop().parameters)]
     for label, values in shared:
@@ -217,16 +218,16 @@ def _uniform_fleet(network: PowerNetwork, configs, noise):
     return configs[0], noise[0], float(inertia[0]), float(damping[0] + rg_inv[0])
 
 
-def h2_fleet_closed_form(network: PowerNetwork, configs, noise) -> float:
-    """Closed-form squared H2 norm of a homogeneous all-DC or all-CP fleet.
+def h2_fleet_closed_form(model: StateSpaceModel) -> float:
+    """Closed-form squared H2 norm of a model of a homogeneous all-DC or all-CP fleet.
 
     DC (droop on every bus): n*(k1^2 + (k2/r_r)^2) / (2m*(d + 1/r_g + 1/r_r)).
     CP (the swing equation alone): n*k1^2 / (2m*(d + 1/r_g)).
     Heterogeneous fleets and VI or IDROOP fleets have no closed form and
     are rejected.
     """
-    config, gains, m, damping = _uniform_fleet(network, configs, noise)
-    n, k1 = network.n_buses, gains.k1
+    config, gains, m, damping = _uniform_fleet(model)
+    n, k1 = model.n_buses, gains.k1
     if config.mode is InverterMode.DC:
         damping += 1.0 / config.r_r
         return n * (k1 * k1 + (gains.k2 / config.r_r) ** 2) / (2.0 * m * damping)
@@ -236,8 +237,8 @@ def h2_fleet_closed_form(network: PowerNetwork, configs, noise) -> float:
                           "(only DC and CP/swing)")
 
 
-def modal_decompose(network: PowerNetwork, configs, noise=None) -> ModalDecomposition:
-    """Decouple a homogeneous fleet into independent per-mode subsystems.
+def modal_decompose(model: StateSpaceModel) -> ModalDecomposition:
+    """Decouple the model of a homogeneous fleet into independent per-mode subsystems.
 
     The orthonormal transform diagonalizes the susceptance Laplacian, with
     the first column fixed to the uniform vector (the zero mode).  Every
@@ -245,12 +246,12 @@ def modal_decompose(network: PowerNetwork, configs, noise=None) -> ModalDecompos
     and all of them are built as one stack.  Requires identical parameters
     on every bus; heterogeneous input is rejected.
     """
-    config, gains, inertia, damping = _uniform_fleet(network, configs, noise)
-    eigenvalues, transform = np.linalg.eigh(network.laplacian)
+    config, gains, inertia, damping = _uniform_fleet(model)
+    eigenvalues, transform = np.linalg.eigh(model.network.laplacian)
     if abs(eigenvalues[0]) > 1e-9:
         raise NumericalError(f"smallest Laplacian eigenvalue {eigenvalues[0]:.3e} not ~0")
     eigenvalues[0] = 0.0
-    transform[:, 0] = 1.0 / np.sqrt(network.n_buses)
+    transform[:, 0] = 1.0 / np.sqrt(model.n_buses)
     params = {name: np.broadcast_to(values, (len(eigenvalues), 1))
               for name, values in _parameters([config]).items()}
     loop = _loop_matrices(eigenvalues[:, None, None], np.array([inertia]), np.array([damping]),
@@ -321,19 +322,18 @@ class OptimalityReport:
     note: str = ""
 
 
-def verify_steady_state_optimality(network: PowerNetwork, configs,
-                                   alpha_g=None, alpha_r=None,
+def verify_steady_state_optimality(model: StateSpaceModel, alpha_g=None, alpha_r=None,
                                    tol: float = 1e-9) -> OptimalityReport:
-    """Check that the fleet's steady-state response solves the dispatch problem.
+    """Check that the model's steady state solves the dispatch problem of its fleet.
 
     By default the governed buses' and droop-active inverters' droops are the
     costs (the optimal tuning); passing different alphas, one per bus, exposes
     the gap.  The imbalance is delta_P = sum(p_in + q0) - sum(D_i*omega0), and
     optimal tuning makes the multiplier equal omega0.  ``tol`` must be finite and >= 0.
     """
-    configs, _, _, damping, rg_inv = fleet = _fleet(network.buses, configs)
+    network, (configs, _, _, damping, rg_inv) = model.network, model.fleet
     _require(_finite(tol, "tol") >= 0, "tol: must be >= 0")
-    ss = _steady_state(network, fleet)
+    ss = model.reference
     droop_ids = [i for i, c in enumerate(configs) if c.droop_active]
     governed = list(range(network.n_buses))
     if alpha_g is None:  # an ungoverned bus (r_g = inf) takes no share: omega0 * 0

@@ -27,7 +27,7 @@ from .analysis import (
     verify_steady_state_optimality,
 )
 from .control import check_decentralized_stability
-from .dynamics import assemble_closed_loop, steady_state
+from .dynamics import assemble_closed_loop
 from .errors import GridFreqError, InjectionOverflow, NumericalError, ValidationError
 from .io import load_document, load_sweep_spec, reduce_document
 from .sim import SimConfig, compute_metrics, simulate_deterministic, simulate_stochastic
@@ -69,10 +69,10 @@ def _emit(obj, path: Path | None = None) -> None:
 
 
 def _steady_state_cmd(args, system) -> int:
-    ss = steady_state(system.network, system.configs)
-    report = asdict(verify_steady_state_optimality(system.network, system.configs))
+    model = assemble_closed_loop(system.network, system.configs)
+    report = asdict(verify_steady_state_optimality(model))
     del report["omega0"]  # the steady state's own, printed first
-    _emit({**asdict(ss), "optimality": report})
+    _emit({**asdict(model.reference), "optimality": report})
     return EXIT_OK
 
 
@@ -123,7 +123,7 @@ def _h2_cmd(args, system) -> int:
     summary = {"kind": result.kind, "method": "gramian", **_h2_value(result)}
 
     if args.closed_form:
-        reference = h2_fleet_closed_form(system.network, system.configs, system.noise)
+        reference = h2_fleet_closed_form(model)
         summary["closed_form"] = reference
         if result.is_finite:
             gap = abs(result.value - reference) / max(reference, 1e-30)
@@ -141,9 +141,9 @@ def _stability_cmd(args, system) -> int:
 
 
 def _modal_cmd(args, system) -> int:
-    decomposition = modal_decompose(system.network, system.configs, system.noise)
-    norms = mode_norms(decomposition)
     model = assemble_closed_loop(system.network, system.configs, system.noise)
+    decomposition = modal_decompose(model)
+    norms = mode_norms(decomposition)
     full = h2_frequency_weighted(model)
     finite = [r.value for r in norms if r.is_finite]
     _emit({

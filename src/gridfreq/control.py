@@ -83,9 +83,9 @@ class InverterConfig:
     def __post_init__(self):
         mode = _mode(self.mode)
         object.__setattr__(self, "mode", mode)
-        for name in ("q0", *PARAMETERS):
+        for name in ("q0", *PARAMETERS):  # q0 is required, the rest may be None
             value = getattr(self, name)
-            if value is not None and not _is_finite(value):
+            if (value is not None or name == "q0") and not _is_finite(value):
                 raise ValidationError(f"{mode.value} inverter {name} must be finite, got {value}")
         read = mode.parameters
         for name in read:  # r_r and delta must be > 0, m_v and nu >= 0

@@ -1,4 +1,4 @@
-"""Closed-loop LTI assembly, synchronous frequency, and steady states.
+"""Closed-loop LTI assembly and synchronous steady states.
 
 States are deviations about a synchronous steady state: per-bus angle and
 frequency deviations, plus one internal state per dynamic-droop inverter.
@@ -9,8 +9,8 @@ inverter configs become matrices: the state equation, the noise and
 injection inputs, and the inverter-power output; modal subsystems are the
 same loop on a stack of one-bus networks.  Public functions gate their fleet
 once and private cores take the result.  Assembly and the steady state read
-the cached Laplacian; a model keeps its gated fleet and solves its reference
-steady state from it on first read.
+the cached Laplacian; a model keeps its gated fleet, solves its reference
+steady state from it on first read, and is what analysis reads a fleet from.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "StateSpaceModel",
     "SteadyState",
     "assemble_closed_loop",
-    "sync_frequency",
     "steady_state",
 ]
 
@@ -113,19 +112,16 @@ class StateSpaceModel:
         return _rotation_null_vector(self.n_buses, self.n_states)
 
 
-def sync_frequency(network: PowerNetwork, configs) -> float:
-    """Common steady-state frequency deviation reached after an imbalance.
-
-    Equals the net injection (including inverter setpoints) divided by the
-    total frequency response: load damping, governor droops, and the droop
-    slopes of every frequency-responsive inverter (DC, VI and IDROOP alike;
-    the dynamic droop settles to the same slope as the static one).  Either
-    sum leaving the float range is a ValidationError.
-    """
-    return _sync_frequency(network, _fleet(network.buses, configs))
+def steady_state(network: PowerNetwork, configs) -> SteadyState:
+    """Full synchronous steady state (frequency, angles, inverter outputs).
+    omega0 is the net injection, setpoints q0 included, over the load damping
+    plus every governor slope and droop-active inverter's 1/r_r (IDROOP too).
+    Either sum past the float range is a ValidationError; angles past it,
+    from injections too large for the lines that carry them, a NumericalError."""
+    return _steady_state(network, _fleet(network.buses, configs))
 
 
-def _sync_frequency(network: PowerNetwork, fleet) -> float:
+def _steady_state(network: PowerNetwork, fleet) -> SteadyState:
     configs, _, _, d, rg_inv = fleet
     with np.errstate(over="ignore"):  # a sum past the float range is named below
         numerator = float(network.injections().sum() + sum(c.q0 for c in configs))
@@ -138,19 +134,7 @@ def _sync_frequency(network: PowerNetwork, fleet) -> float:
         raise ValidationError("damping and droop slopes sum to a non-finite total damping")
     if denominator <= 0.0:
         raise ValidationError("zero total damping: no frequency-responsive element")
-    return numerator / denominator
-
-
-def steady_state(network: PowerNetwork, configs) -> SteadyState:
-    """Full synchronous steady state (frequency, angles, inverter outputs).
-    Angles past the float range, from injections too large for the lines that
-    carry them, are a NumericalError."""
-    return _steady_state(network, _fleet(network.buses, configs))
-
-
-def _steady_state(network: PowerNetwork, fleet) -> SteadyState:
-    configs, _, _, d, rg_inv = fleet
-    omega0 = _sync_frequency(network, fleet)
+    omega0 = numerator / denominator
     rr_inv = np.array([1.0 / c.r_r if c.droop_active else 0.0 for c in configs])
     q0 = np.array([c.q0 for c in configs])
 

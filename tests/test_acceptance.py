@@ -81,9 +81,7 @@ def test_criterion_02_infinite_norm_detection(ten_bus):
     assert result.kind == "infinite"
     assert abs(result.feedthrough_gain - expected) < 1e-9
 
-    per_mode = mode_norms(
-        modal_decompose(ten_bus, uniform_fleet(10, "VI", r_r=15.0, m_v=0.15), HIGH_NOISE)
-    )
+    per_mode = mode_norms(modal_decompose(vi_model))
     assert all(r.kind == "infinite" for r in per_mode)
     assert all(abs(r.feedthrough_gain - expected) < 1e-9 for r in per_mode)
 
@@ -142,18 +140,18 @@ def test_criterion_05_optimality_theorems():
     ]
     net = PowerNetwork(buses, ten_bus_network().lines)
     cfgs = [InverterConfig.droop(r_r=float(rng.uniform(5, 40))) for _ in range(10)]
-    report = verify_steady_state_optimality(net, cfgs, tol=1e-6)
+    report = verify_steady_state_optimality(assemble_closed_loop(net, cfgs), tol=1e-6)
     assert report.passed
     assert abs(report.lambda_star - report.omega0) < 1e-9
 
     dyn = [InverterConfig.idroop(r_r=c.r_r, delta=6.0, nu=0.9) for c in cfgs]
-    report_dyn = verify_steady_state_optimality(net, dyn, tol=1e-6)
+    report_dyn = verify_steady_state_optimality(assemble_closed_loop(net, dyn), tol=1e-6)
     assert report_dyn.passed
     assert abs(report_dyn.lambda_star - report_dyn.omega0) < 1e-9
 
     # contrapositive guard: cost coefficients that differ from the droops
     mismatched = verify_steady_state_optimality(
-        net, cfgs, alpha_r=[c.r_r * 1.5 for c in cfgs], tol=1e-6
+        assemble_closed_loop(net, cfgs), alpha_r=[c.r_r * 1.5 for c in cfgs], tol=1e-6
     )
     assert not mismatched.passed and mismatched.max_gap_r > 1e-6
     announce(5, f"droop/idroop steady states solve the dispatch problem "
@@ -278,8 +276,9 @@ def test_criterion_10_modal_consistency():
     net = path_network(5)
     cfgs = uniform_fleet(5, "DC", r_r=15.0)
     noise = tuple(NoiseGains(k1=0.1, k2=5.0) for _ in range(5))
-    total = sum(r.value for r in mode_norms(modal_decompose(net, cfgs, noise)))
-    full = h2_gramian(assemble_closed_loop(net, cfgs, noise)).value
+    model = assemble_closed_loop(net, cfgs, noise)
+    total = sum(r.value for r in mode_norms(modal_decompose(model)))
+    full = h2_gramian(model).value
     gap = abs(total - full) / full
     assert gap < 1e-8
     announce(10, f"sum of per-mode norms {total:.12f} equals full norm (rel gap {gap:.2e})")

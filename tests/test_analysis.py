@@ -265,22 +265,23 @@ class TestClosedForm:
         for mode, params in [("VI", dict(r_r=15.0, m_v=0.15)),
                              ("IDROOP", dict(r_r=15.0, delta=6.0, nu=0.9))]:
             with pytest.raises(ValidationError, match=f"no closed form for an all-{mode} fleet"):
-                h2_fleet_closed_form(ten_bus, uniform_fleet(10, mode, **params), noise)
+                h2_fleet_closed_form(
+                    assemble_closed_loop(ten_bus, uniform_fleet(10, mode, **params), noise))
         fleet = uniform_fleet(10, "DC", r_r=15.0)
         fleet[3] = InverterConfig.droop(r_r=14.0)
         with pytest.raises(ValidationError, match=r"^heterogeneous r_r: \[15\.0, 15\.0, 15\.0, 14"):
-            h2_fleet_closed_form(ten_bus, fleet, noise)
+            h2_fleet_closed_form(assemble_closed_loop(ten_bus, fleet, noise))
 
     def test_fleet_closed_form_equals_scalar_formula(self, ten_bus, dc_fleet):
         noise = [NoiseGains(k1=0.1, k2=5.0)] * 10
-        assert h2_fleet_closed_form(ten_bus, dc_fleet, noise) == h2_closed_form(
-            "DC", 10, 1.0, 0.1, 15.0, 15.0, 0.1, 5.0)
-        assert h2_fleet_closed_form(ten_bus, uniform_fleet(10, "CP"), noise) == h2_closed_form(
-            "SWING", 10, 1.0, 0.1, 15.0, k1=0.1)
+        dc, cp = (assemble_closed_loop(ten_bus, fleet, noise)
+                  for fleet in (dc_fleet, uniform_fleet(10, "CP")))
+        assert h2_fleet_closed_form(dc) == h2_closed_form("DC", 10, 1.0, 0.1, 15.0, 15.0, 0.1, 5.0)
+        assert h2_fleet_closed_form(cp) == h2_closed_form("SWING", 10, 1.0, 0.1, 15.0, k1=0.1)
 
     def test_fleet_closed_form_without_noise_is_zero(self, ten_bus, dc_fleet):
         # no noise means zero gains, as in modal_decompose
-        assert h2_fleet_closed_form(ten_bus, dc_fleet, None) == 0.0
+        assert h2_fleet_closed_form(assemble_closed_loop(ten_bus, dc_fleet, None)) == 0.0
 
     def test_droop_monotone_in_inverter_droop_without_measurement_noise(self):
         # with k2 = 0 a stronger droop (smaller r_r) strictly helps
@@ -366,18 +367,18 @@ class TestFrequencyWeighted:
 class TestModal:
     def test_single_bus_single_zero_mode(self):
         net = path_network(1)
-        decomposition = modal_decompose(net, uniform_fleet(1, "DC", r_r=15.0))
+        decomposition = modal_decompose(assemble_closed_loop(net, uniform_fleet(1, "DC", r_r=15.0)))
         assert decomposition.eigenvalues.tolist() == [0.0]
 
     def test_two_bus_eigenvalues(self):
         net = path_network(2, susceptance=1.0)
-        decomposition = modal_decompose(net, uniform_fleet(2, "DC", r_r=15.0))
+        decomposition = modal_decompose(assemble_closed_loop(net, uniform_fleet(2, "DC", r_r=15.0)))
         assert np.allclose(decomposition.eigenvalues, [0.0, 2.0])
 
     def test_transform_orthonormal_and_diagonalizing(self, ten_bus, dc_fleet):
         from gridfreq import build_laplacian
 
-        decomposition = modal_decompose(ten_bus, dc_fleet)
+        decomposition = modal_decompose(assemble_closed_loop(ten_bus, dc_fleet))
         u = decomposition.transform
         assert np.abs(u.T @ u - np.eye(10)).max() < 1e-10
         assert np.allclose(u[:, 0], 1.0 / np.sqrt(10.0))
@@ -388,24 +389,24 @@ class TestModal:
         net = path_network(5)
         cfgs = uniform_fleet(5, "DC", r_r=15.0)
         noise = [NoiseGains(k1=0.1, k2=5.0)] * 5
-        decomposition = modal_decompose(net, cfgs, noise)
-        total = sum(r.value for r in mode_norms(decomposition))
-        full = h2_gramian(assemble_closed_loop(net, cfgs, noise)).value
+        model = assemble_closed_loop(net, cfgs, noise)
+        total = sum(r.value for r in mode_norms(modal_decompose(model)))
+        full = h2_gramian(model).value
         assert total == pytest.approx(full, rel=1e-8)
 
     def test_mode_sum_for_idroop_weighted_norm(self):
         net = path_network(5)
         cfgs = uniform_fleet(5, "IDROOP", r_r=15.0, delta=6.0, nu=0.3)
         noise = high_noise(5)
-        decomposition = modal_decompose(net, cfgs, noise)
-        total = sum(r.value for r in mode_norms(decomposition))
-        full = h2_frequency_weighted(assemble_closed_loop(net, cfgs, noise)).value
+        model = assemble_closed_loop(net, cfgs, noise)
+        total = sum(r.value for r in mode_norms(modal_decompose(model)))
+        full = h2_frequency_weighted(model).value
         assert total == pytest.approx(full, rel=1e-6)
 
     def test_virtual_inertia_modes_all_infinite(self):
         net = path_network(3)
         cfgs = uniform_fleet(3, "VI", r_r=15.0, m_v=0.15)
-        decomposition = modal_decompose(net, cfgs, high_noise(3))
+        decomposition = modal_decompose(assemble_closed_loop(net, cfgs, high_noise(3)))
         for result in mode_norms(decomposition):
             assert result.kind == "infinite"
             assert result.feedthrough_gain == pytest.approx(5.0 * 0.15 / 1.15, abs=1e-9)
@@ -426,8 +427,8 @@ class TestModal:
                 return _original(*args)
 
             monkeypatch.setattr(analysis, name, counted)
-        decomposition = modal_decompose(ten_bus, uniform_fleet(10, mode, **params),
-                                        [NoiseGains(k1=0.1, k2=5.0)] * 10)
+        decomposition = modal_decompose(assemble_closed_loop(
+            ten_bus, uniform_fleet(10, mode, **params), [NoiseGains(k1=0.1, k2=5.0)] * 10))
         norms = mode_norms(decomposition)
         assert len(calls["_loop_matrices"]) == 1
         assert [len(args[0]) for args in calls["_h2"]] == [1, 9]
@@ -442,18 +443,18 @@ class TestModal:
         cfgs = uniform_fleet(10, "DC", r_r=15.0)
         cfgs[3] = uniform_fleet(1, "DC", r_r=14.0)[0]
         with pytest.raises(ValidationError, match="heterogeneous"):
-            modal_decompose(ten_bus, cfgs)
+            modal_decompose(assemble_closed_loop(ten_bus, cfgs))
         net = ten_bus_network()
         mixed = uniform_fleet(10, "DC", r_r=15.0)
         mixed[0] = uniform_fleet(1, "CP")[0]
         with pytest.raises(ValidationError, match="heterogeneous"):
-            modal_decompose(net, mixed)
+            modal_decompose(assemble_closed_loop(net, mixed))
 
 
 def droop_optimality(**kwargs):
     """verify_steady_state_optimality of the ten-bus network's DC fleet."""
-    return verify_steady_state_optimality(ten_bus_network(), uniform_fleet(10, "DC", r_r=15.0),
-                                          **kwargs)
+    model = assemble_closed_loop(ten_bus_network(), uniform_fleet(10, "DC", r_r=15.0))
+    return verify_steady_state_optimality(model, **kwargs)
 
 
 class TestOptimalAllocation:
@@ -538,7 +539,7 @@ class TestSteadyStateOptimality:
     def test_droop_fleet_is_optimal_with_multiplier_omega0(self):
         net = ten_bus_network(injections={9: -0.5})
         cfgs = uniform_fleet(10, "DC", r_r=15.0)
-        report = verify_steady_state_optimality(net, cfgs)
+        report = verify_steady_state_optimality(assemble_closed_loop(net, cfgs))
         assert report.passed
         assert report.max_gap_g < 1e-9 and report.max_gap_r < 1e-9
         assert report.lambda_star == pytest.approx(report.omega0, abs=1e-9)
@@ -553,7 +554,7 @@ class TestSteadyStateOptimality:
 
         net = PowerNetwork(buses, net.lines)
         cfgs = [uniform_fleet(1, "DC", r_r=float(rng.uniform(5, 40)))[0] for _ in range(10)]
-        report = verify_steady_state_optimality(net, cfgs)
+        report = verify_steady_state_optimality(assemble_closed_loop(net, cfgs))
         assert report.passed
         assert report.lambda_star == pytest.approx(report.omega0, abs=1e-9)
 
@@ -564,7 +565,7 @@ class TestSteadyStateOptimality:
         ss_droop = steady_state(net, droop)
         ss_dyn = steady_state(net, dyn)
         assert np.allclose(ss_droop.delta_q_r_star, ss_dyn.delta_q_r_star, atol=1e-12)
-        assert verify_steady_state_optimality(net, dyn).passed
+        assert verify_steady_state_optimality(assemble_closed_loop(net, dyn)).passed
 
     def test_ungoverned_bus_takes_no_share_by_default(self):
         """A bus without a governor (r_g = inf) is no g-resource of the default costs."""
@@ -572,7 +573,7 @@ class TestSteadyStateOptimality:
         net = PowerNetwork([replace(net.buses[0], governor_droop=float("inf"), injection=0.3),
                             replace(net.buses[1], injection=-0.5)], net.lines)
         cfgs = [InverterConfig.droop(r_r=10.0), InverterConfig.idroop(r_r=20.0)]
-        report = verify_steady_state_optimality(net, cfgs)
+        report = verify_steady_state_optimality(assemble_closed_loop(net, cfgs))
         assert report.passed
         assert report.omega0 == pytest.approx(-0.2 / (1.5 + 1 / 15 + 1 / 10 + 1 / 20), rel=1e-12)
         assert report.omega0 == pytest.approx(-0.11650, abs=5e-6)
@@ -581,6 +582,7 @@ class TestSteadyStateOptimality:
     def test_mismatched_costs_fail(self):
         net = ten_bus_network(injections={9: -0.5})
         cfgs = uniform_fleet(10, "DC", r_r=15.0)
-        report = verify_steady_state_optimality(net, cfgs, alpha_r=[10.0] * 10)
+        report = verify_steady_state_optimality(assemble_closed_loop(net, cfgs),
+                                                alpha_r=[10.0] * 10)
         assert not report.passed
         assert report.max_gap_r > 1e-6

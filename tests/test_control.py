@@ -19,7 +19,6 @@ from gridfreq import (
     modal_decompose,
     run_sweep,
     steady_state,
-    sync_frequency,
     uniform_fleet,
     verify_steady_state_optimality,
 )
@@ -50,6 +49,8 @@ class TestInverterConfig:
 
     @pytest.mark.parametrize("build,message", [
         (lambda: InverterConfig.droop(q0=NAN), "DC inverter q0 must be finite, got nan"),
+        (lambda: InverterConfig(mode="DC", q0=None, r_r=15.0),
+         "DC inverter q0 must be finite, got None"),
         (lambda: InverterConfig.droop(r_r=NAN), "DC inverter r_r must be finite, got nan"),
         (lambda: InverterConfig.virtual_inertia(m_v=NAN),
          "VI inverter m_v must be finite, got nan"),
@@ -84,28 +85,29 @@ class TestInverterConfig:
          "configs must be InverterConfig records, got 'DC'"),
         *((build, "configs must be InverterConfig records, got 'DC'") for build in (
             lambda: steady_state(ten_bus_network(), NOT_A_RECORD),
-            lambda: sync_frequency(ten_bus_network(), NOT_A_RECORD),
-            lambda: verify_steady_state_optimality(ten_bus_network(), NOT_A_RECORD),
-            lambda: modal_decompose(ten_bus_network(), NOT_A_RECORD),
-            lambda: h2_fleet_closed_form(ten_bus_network(), NOT_A_RECORD, None),
+            lambda: verify_steady_state_optimality(
+                assemble_closed_loop(ten_bus_network(), NOT_A_RECORD)),
+            lambda: modal_decompose(assemble_closed_loop(ten_bus_network(), NOT_A_RECORD)),
+            lambda: h2_fleet_closed_form(assemble_closed_loop(ten_bus_network(), NOT_A_RECORD)),
             lambda: check_decentralized_stability(NOT_A_RECORD, ten_bus_network().buses))),
         (lambda: check_decentralized_stability(uniform_fleet(5, "DC", r_r=15.0),
                                                ten_bus_network().buses),
          "need one inverter config per bus: 5 configs for 10 buses"),
-        (lambda: modal_decompose(ten_bus_network(), uniform_fleet(3, "DC", r_r=15.0)),
+        (lambda: modal_decompose(assemble_closed_loop(ten_bus_network(),
+                                                      uniform_fleet(3, "DC", r_r=15.0))),
          "need one inverter config per bus: 3 configs for 10 buses"),
-        (lambda: h2_fleet_closed_form(ten_bus_network(), uniform_fleet(10, "DC", r_r=15.0),
-                                      [NoiseGains(k1=0.1)] * 3),
+        (lambda: h2_fleet_closed_form(assemble_closed_loop(
+            ten_bus_network(), uniform_fleet(10, "DC", r_r=15.0), [NoiseGains(k1=0.1)] * 3)),
          "need one NoiseGains per bus, got 3"),
         (lambda: check_decentralized_stability(uniform_fleet(10, "IDROOP", r_r=15.0, delta=6.0,
                                                              nu=0.9),
                                                [*ten_bus_network().buses[:9], "bus 9"]),
          "buses must be Bus records, got 'bus 9'"),
-    ], ids=["q0", "r_r", "m_v", "delta", "nu", "nu-inf", "k1", "k2", "k3-inf", "r_r-bool",
-            "q0-numpy-bool", "k1-bool", "mode", "fleet-mode", "nu-on-dc", "sweep-axes-none",
-            "sweep-axis-dict", "disturbances-none", "configs-string", "noise-string",
-            "sweep-configs-string", "steady-state-configs-string",
-            "sync-frequency-configs-string", "optimality-configs-string",
+    ], ids=["q0", "q0-none", "r_r", "m_v", "delta", "nu", "nu-inf", "k1", "k2", "k3-inf",
+            "r_r-bool", "q0-numpy-bool", "k1-bool", "mode", "fleet-mode", "nu-on-dc",
+            "sweep-axes-none", "sweep-axis-dict", "disturbances-none", "configs-string",
+            "noise-string",
+            "sweep-configs-string", "steady-state-configs-string", "optimality-configs-string",
             "modal-configs-string", "closed-form-configs-string", "stability-configs-string",
             "stability-five-configs", "modal-three-configs", "closed-form-three-noise",
             "stability-buses-string"])
@@ -115,12 +117,12 @@ class TestInverterConfig:
         assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("build,droop", [
-        (sync_frequency, -2.0),
+        (steady_state, -2.0),
         (lambda net, fleet: check_decentralized_stability(fleet, net.buses), -2.0),
         (lambda net, fleet: check_decentralized_stability(fleet, net.buses), 0.0),
         (steady_state, 0.0),
         (assemble_closed_loop, 0.0),
-    ], ids=["sync-frequency-negative", "stability-negative", "stability-zero",
+    ], ids=["steady-state-negative", "stability-negative", "stability-zero",
             "steady-state-zero", "assemble-zero"])
     def test_fleet_gate_applies_bus_rules(self, build, droop):
         """An invalid governor droop is named before anything reads it: no silent
@@ -133,20 +135,19 @@ class TestInverterConfig:
                 build(net, [InverterConfig.idroop()] * 2)
 
     @pytest.mark.parametrize("call", [
-        sync_frequency,
         steady_state,
         assemble_closed_loop,
-        verify_steady_state_optimality,
+        lambda net, fleet: verify_steady_state_optimality(assemble_closed_loop(net, fleet)),
         lambda net, fleet: check_decentralized_stability(fleet, net.buses),
-        modal_decompose,
-        lambda net, fleet: h2_fleet_closed_form(net, fleet, None),
+        lambda net, fleet: modal_decompose(assemble_closed_loop(net, fleet)),
+        lambda net, fleet: h2_fleet_closed_form(assemble_closed_loop(net, fleet)),
         lambda net, fleet: run_sweep(net, fleet, None, SweepSpec(
             axes=(SweepAxis("r_r", 5.0, 30.0, 2),), metric="h2")),
         lambda net, fleet: assemble_closed_loop(net, fleet).reference,
         lambda net, fleet: run_sweep(net, fleet, None, SweepSpec(
             axes=(SweepAxis("r_r", 5.0, 30.0, 2),), metric="nadir"),
             SimConfig(horizon=0.1, disturbances=(Disturbance(0.0, 0, 0.1),))),
-    ], ids=["sync-frequency", "steady-state", "assemble", "optimality", "stability", "modal",
+    ], ids=["steady-state", "assemble", "optimality", "stability", "modal",
             "closed-form", "h2-sweep", "model-reference", "nadir-sweep"])
     def test_each_public_call_gates_its_fleet_once(self, monkeypatch, call):
         """The gate applies the bus rules once a bus, so a public call that hands

@@ -15,7 +15,6 @@ from gridfreq import (
     modal_decompose,
     simulate_deterministic,
     steady_state,
-    sync_frequency,
     uniform_fleet,
 )
 from conftest import high_noise, path_network, random_connected_network, ten_bus_network
@@ -36,24 +35,24 @@ def single_bus(p_in=1.0, d=0.1, r_g=15.0):
 
 class TestSyncFrequency:
     def test_balanced_injections_give_zero(self, ten_bus, dc_fleet):
-        assert sync_frequency(ten_bus, dc_fleet) == 0.0
+        assert steady_state(ten_bus, dc_fleet).omega0 == 0.0
 
     def test_single_constant_power_bus(self):
         net = single_bus(p_in=1.0)
-        omega0 = sync_frequency(net, [InverterConfig.constant_power()])
+        omega0 = steady_state(net, [InverterConfig.constant_power()]).omega0
         assert omega0 == pytest.approx(1.0 / (0.1 + 1.0 / 15.0))
         assert omega0 == pytest.approx(6.0)
 
     def test_ten_bus_droop_fleet_with_step(self, dc_fleet):
         net = ten_bus_network(injections={9: -0.5})
-        omega0 = sync_frequency(net, dc_fleet)
+        omega0 = steady_state(net, dc_fleet).omega0
         assert omega0 == pytest.approx(-0.5 / (10 * (0.1 + 2.0 / 15.0)))
         assert omega0 == pytest.approx(-0.2143, abs=5e-5)
 
     def test_idroop_counts_as_droop_active(self, idroop_fleet, dc_fleet):
         net = ten_bus_network(injections={3: 0.4})
-        assert sync_frequency(net, idroop_fleet) == pytest.approx(
-            sync_frequency(net, dc_fleet)
+        assert steady_state(net, idroop_fleet).omega0 == pytest.approx(
+            steady_state(net, dc_fleet).omega0
         )
 
     def test_zero_damping_rejected(self):
@@ -63,7 +62,7 @@ class TestSyncFrequency:
                      injection=1.0)]
         net = PowerNetwork(buses, [])
         with pytest.raises(ValidationError, match="damping"):
-            sync_frequency(net, [InverterConfig.constant_power()])
+            steady_state(net, [InverterConfig.constant_power()])
 
 
 class TestSteadyState:
@@ -186,7 +185,7 @@ class TestAssembleClosedLoop:
         cfgs = uniform_fleet(10, mode, **FLEETS[mode])
         noise = high_noise(10)
         model = assemble_closed_loop(ten_bus, cfgs, noise)
-        decomposition = modal_decompose(ten_bus, cfgs, noise)
+        decomposition = modal_decompose(model)
         lam, u = decomposition.eigenvalues, decomposition.transform
         n, k_states = 10, model.n_states // 10
         t = np.kron(np.eye(k_states), u)

@@ -29,6 +29,7 @@ from gridfreq import (
 )
 from gridfreq.cli import _write_trajectory_csv, main
 from gridfreq.sim import BLOCK_STEPS
+import gridfreq.control
 import gridfreq.dynamics
 import gridfreq.network
 from oracles import document_to_obj, save_document
@@ -157,6 +158,32 @@ class TestValidateOnce:
         path.write_text(json.dumps(minimal_doc_obj()))
         assert main(["h2", "--network", str(path)]) == 0
         assert len(validations) <= 2  # the document's network and the reduced one
+
+    @pytest.mark.parametrize("command", [
+        ["steady-state"], ["stability"], ["h2"], ["h2", "--closed-form"], ["modal"],
+        ["simulate", "--horizon", "2"], ["sweep", "h2"], ["sweep", "nadir", "--horizon", "2"],
+    ], ids=["steady-state", "stability", "h2", "h2-closed-form", "modal", "simulate",
+            "h2-sweep", "nadir-sweep"])
+    def test_each_command_gates_its_fleet_once(self, monkeypatch, capsys, tmp_path, command):
+        """Every command reads each bus through the fleet gate exactly once, and
+        steady-state solves its steady state once."""
+        if command[0] == "sweep":
+            spec = {"axes": [{"name": "r_r", "min": 5.0, "max": 30.0, "count": 2}],
+                    "metric": command[1]}
+            (tmp_path / "sweep.json").write_text(json.dumps(spec))
+            command = ["sweep", "--sweep", str(tmp_path / "sweep.json"), *command[2:]]
+        if command[0] in ("simulate", "sweep"):
+            command += ["--out", str(tmp_path)]
+        seen = []
+        rules = gridfreq.control._bus_violations  # the network's own validation keeps its binding
+        monkeypatch.setattr(gridfreq.control, "_bus_violations",
+                            lambda bus: seen.append(bus.id) or rules(bus))
+        solves = count_calls(monkeypatch, gridfreq.dynamics, "_steady_state")
+        assert main([*command, "--network", EXAMPLE_DC]) == 0
+        assert seen == list(range(10))
+        if command[0] == "steady-state":
+            assert len(solves) == 1
+        capsys.readouterr()
 
 
 # Run in a fresh interpreter: which modules the CLI loads is the subject.
