@@ -55,16 +55,19 @@ FEEDTHROUGH_TOL = 1e-9
 
 @dataclass(frozen=True)
 class H2Result:
-    """Squared H2 norm: either a finite value or "infinite" with the
-    high-frequency gain that certifies the divergence."""
+    """Squared H2 norm: a finite ``value``, or, where the norm is infinite,
+    the high-frequency ``feedthrough_gain`` that certifies the divergence."""
 
-    kind: str  # "finite" | "infinite"
     value: float | None = None
     feedthrough_gain: float | None = None
 
     @property
     def is_finite(self) -> bool:
-        return self.kind == "finite"
+        return self.value is not None
+
+    @property
+    def kind(self) -> str:
+        return "finite" if self.is_finite else "infinite"
 
 
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -144,7 +147,7 @@ def _h2(a, b, c, null_vector):
                 "noise input matrix has non-finite entries; the model overflows", point)
         gain = float(np.linalg.norm(block, 2)) if block.any() else 0.0
         if gain > FEEDTHROUGH_TOL:
-            results.append(H2Result(kind="infinite", feedthrough_gain=gain))
+            results.append(H2Result(feedthrough_gain=gain))
             continue
         try:
             x = solve_lyapunov(a[point], q[point])
@@ -155,7 +158,7 @@ def _h2(a, b, c, null_vector):
         if not math.isfinite(value):
             raise NumericalError(
                 f"squared H2 norm is not finite ({value}); the noise overflows it", point)
-        results.append(H2Result(kind="finite", value=max(value, 0.0)))
+        results.append(H2Result(value=max(value, 0.0)))
     return results
 
 
@@ -314,7 +317,6 @@ class OptimalityReport:
     allocation (they coincide exactly when droops equal cost coefficients)."""
 
     passed: bool
-    omega0: float
     lambda_star: float
     delta_p: float
     max_gap_g: float
@@ -359,7 +361,6 @@ def verify_steady_state_optimality(model: StateSpaceModel, alpha_g=None, alpha_r
     note = "" if passed else "steady-state deviations do not match the optimal allocation"
     return OptimalityReport(
         passed=passed,
-        omega0=ss.omega0,
         lambda_star=allocation.lambda_star,
         delta_p=delta_p,
         max_gap_g=gap_g,

@@ -70,9 +70,7 @@ def _emit(obj, path: Path | None = None) -> None:
 
 def _steady_state_cmd(args, system) -> int:
     model = assemble_closed_loop(system.network, system.configs)
-    report = asdict(verify_steady_state_optimality(model))
-    del report["omega0"]  # the steady state's own, printed first
-    _emit({**asdict(model.reference), "optimality": report})
+    _emit({**asdict(model.reference), "optimality": verify_steady_state_optimality(model)})
     return EXIT_OK
 
 

@@ -185,7 +185,10 @@ class StabilityCondition:
 @dataclass(frozen=True)
 class StabilityCertificate:
     conditions: tuple[StabilityCondition, ...]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.conditions)
 
 
 def check_decentralized_stability(configs, buses) -> StabilityCertificate:
@@ -222,5 +225,5 @@ def check_decentralized_stability(configs, buses) -> StabilityCertificate:
                 condition2=condition2, t_value=1.0 / denom, passed=passed, note=note,
             )
         )
-    return StabilityCertificate(conditions=tuple(rows), passed=all(r.passed for r in rows))
+    return StabilityCertificate(conditions=tuple(rows))
 

@@ -73,8 +73,6 @@ class StateSpaceModel:
     injection: np.ndarray
     power: np.ndarray
     power_injection: np.ndarray
-    n_buses: int
-    idroop_buses: tuple[int, ...]
     fleet: tuple
     network: PowerNetwork
 
@@ -83,6 +81,15 @@ class StateSpaceModel:
         """The steady state of ``network`` under ``fleet`` that the
         deviations are taken about, solved on first read."""
         return _steady_state(self.network, self.fleet)
+
+    @property
+    def n_buses(self) -> int:
+        return self.network.n_buses
+
+    @property
+    def idroop_buses(self) -> tuple[int, ...]:
+        """The IDROOP buses, in the order of their internal states."""
+        return tuple(i for i, c in enumerate(self.fleet[0]) if c.mode is InverterMode.IDROOP)
 
     @property
     def n_states(self) -> int:
@@ -264,8 +271,6 @@ def _assemble_closed_loop(network: PowerNetwork, fleet) -> StateSpaceModel:
                           _parameters(configs), noise)
     return StateSpaceModel(
         **{key: value[0] for key, value in loop.items()},
-        n_buses=network.n_buses,
-        idroop_buses=tuple(i for i, c in enumerate(configs) if c.mode is InverterMode.IDROOP),
         fleet=fleet,
         network=network,
     )

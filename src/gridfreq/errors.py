@@ -6,6 +6,9 @@ import numbers
 
 import numpy as np
 
+__all__ = ["GridFreqError", "ValidationError", "InjectionOverflow", "NumericalError",
+           "SimulationDiverged"]
+
 
 class GridFreqError(Exception):
     """Base class for all gridfreq errors."""

@@ -34,7 +34,6 @@ SCHEMA_VERSION = "1"
 
 @dataclass(frozen=True)
 class NetworkDocument:
-    schema_version: str
     network: PowerNetwork
     inverters: tuple[InverterConfig, ...]  # aligned with generator buses, in id order
     noise: tuple[NoiseGains, ...]  # aligned with all buses, in id order
@@ -144,7 +143,6 @@ def parse_document(obj: dict) -> NetworkDocument:
                                         delta_p=_field(entry, "delta_p", where, _finite)))
 
     return NetworkDocument(
-        schema_version=version,
         network=network,
         inverters=inverters,
         noise=noise,

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError, _integer, _is_finite, _is_integer
+from .errors import NumericalError, ValidationError, _integer, _is_finite, _is_integer
 
 __all__ = [
     "Bus",
@@ -215,6 +215,7 @@ def kron_reduce(laplacian: np.ndarray, retained) -> np.ndarray:
     Rows/columns of the result follow ``sorted(retained)``, a set of integer
     bus ids.  The eliminated block must be invertible, which holds whenever
     every eliminated bus connects (possibly indirectly) to a retained one.
+    A result past the float range raises NumericalError naming the eliminated buses.
     """
     lap = np.asarray(laplacian, dtype=float)
     n = lap.shape[0]
@@ -244,8 +245,13 @@ def kron_reduce(laplacian: np.ndarray, retained) -> np.ndarray:
     l_rr = lap[np.ix_(retained, retained)]
     l_re = lap[np.ix_(retained, eliminated)]
     l_ee = lap[np.ix_(eliminated, eliminated)]
-    reduced = l_rr - l_re @ np.linalg.solve(l_ee, l_re.T)
-    return 0.5 * (reduced + reduced.T)
+    with np.errstate(all="ignore"):  # a non-finite result is named below
+        reduced = l_rr - l_re @ np.linalg.solve(l_ee, l_re.T)
+        reduced = 0.5 * (reduced + reduced.T)
+    if not np.isfinite(reduced).all():
+        raise NumericalError(f"Kron reduction eliminating buses {eliminated} is not finite; "
+                             "their lines are too weak or their injections too large")
+    return reduced
 
 
 def kron_reduce_network(network: PowerNetwork) -> tuple[PowerNetwork, dict[int, int]]:

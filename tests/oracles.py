@@ -6,13 +6,14 @@ about 30 states): the Kronecker solve builds a dense d^2 x d^2 system, and
 the quadrature solves one d x d complex system per grid frequency.  The
 reference march is the per-step time-domain loop that gridfreq's
 precomputed-drive march replaced, and ``input_schedule`` writes out the
-inputs it steps.  The reference metrics summarise a whole trajectory with
-whole-array reductions, as ``compute_metrics`` did before it went block by
-block.  The sweep route evaluates a sweep one
-point at a time through the public per-model functions, as sweeps ran
-before they were stacked and before repeated points shared one
-evaluation.  The component finder is a plain breadth-first
-search over adjacency sets.
+inputs it steps.  It shares the march's propagators; ``rk4_step`` takes one
+step from the four Butcher stages instead, and so shares no code with them.
+The reference metrics summarise a whole trajectory with whole-array
+reductions, as ``compute_metrics`` did before it went block by block.  The
+sweep route evaluates a sweep one point at a time through the public
+per-model functions, as sweeps ran before they were stacked and before
+repeated points shared one evaluation.  The component finder is a plain
+breadth-first search over adjacency sets.
 
 The rest are written out here because no command or library path needs
 them.  ``h2_closed_form`` is the squared H2 norm of n identical droop or
@@ -42,6 +43,7 @@ from gridfreq import (
     NoiseGains,
     NumericalError,
     PowerNetwork,
+    SCHEMA_VERSION,
     SimulationDiverged,
     ValidationError,
     assemble_closed_loop,
@@ -188,6 +190,19 @@ def reference_march(model, config, initial_state=None, increments=None):
             )
         states[k + 1] = z
     return states
+
+
+def rk4_step(a, injection, z, u, dt):
+    """One classical RK4 step of dz = (A z + F u) dt with u frozen over the
+    step, from its four stage evaluations (Butcher tableau)."""
+    def rate(y):
+        return a @ y + injection @ u
+
+    k1 = rate(z)
+    k2 = rate(z + dt / 2 * k1)
+    k3 = rate(z + dt / 2 * k2)
+    k4 = rate(z + dt * k3)
+    return z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def reference_metrics(trajectory, steady=None):
@@ -362,7 +377,7 @@ def laplacian_violations(matrix: np.ndarray, row_sum_tol: float = ROW_SUM_TOL) -
 
 def document_to_obj(doc: NetworkDocument) -> dict:
     """Render a document back to a JSON-ready object with stable key order."""
-    obj: dict = {"schema_version": doc.schema_version}
+    obj: dict = {"schema_version": SCHEMA_VERSION}
     if doc.comment is not None:
         obj["comment"] = doc.comment
     obj["buses"] = []

@@ -140,14 +140,16 @@ def test_criterion_05_optimality_theorems():
     ]
     net = PowerNetwork(buses, ten_bus_network().lines)
     cfgs = [InverterConfig.droop(r_r=float(rng.uniform(5, 40))) for _ in range(10)]
-    report = verify_steady_state_optimality(assemble_closed_loop(net, cfgs), tol=1e-6)
+    model = assemble_closed_loop(net, cfgs)
+    report = verify_steady_state_optimality(model, tol=1e-6)
     assert report.passed
-    assert abs(report.lambda_star - report.omega0) < 1e-9
+    assert abs(report.lambda_star - model.reference.omega0) < 1e-9
 
     dyn = [InverterConfig.idroop(r_r=c.r_r, delta=6.0, nu=0.9) for c in cfgs]
-    report_dyn = verify_steady_state_optimality(assemble_closed_loop(net, dyn), tol=1e-6)
+    model_dyn = assemble_closed_loop(net, dyn)
+    report_dyn = verify_steady_state_optimality(model_dyn, tol=1e-6)
     assert report_dyn.passed
-    assert abs(report_dyn.lambda_star - report_dyn.omega0) < 1e-9
+    assert abs(report_dyn.lambda_star - model_dyn.reference.omega0) < 1e-9
 
     # contrapositive guard: cost coefficients that differ from the droops
     mismatched = verify_steady_state_optimality(
@@ -155,7 +157,7 @@ def test_criterion_05_optimality_theorems():
     )
     assert not mismatched.passed and mismatched.max_gap_r > 1e-6
     announce(5, f"droop/idroop steady states solve the dispatch problem "
-                f"(lambda*=omega0={report.omega0:.6f}); mismatched costs fail "
+                f"(lambda*=omega0={model.reference.omega0:.6f}); mismatched costs fail "
                 f"(gap {mismatched.max_gap_r:.2e})")
 
 

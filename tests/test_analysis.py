@@ -539,10 +539,11 @@ class TestSteadyStateOptimality:
     def test_droop_fleet_is_optimal_with_multiplier_omega0(self):
         net = ten_bus_network(injections={9: -0.5})
         cfgs = uniform_fleet(10, "DC", r_r=15.0)
-        report = verify_steady_state_optimality(assemble_closed_loop(net, cfgs))
+        model = assemble_closed_loop(net, cfgs)
+        report = verify_steady_state_optimality(model)
         assert report.passed
         assert report.max_gap_g < 1e-9 and report.max_gap_r < 1e-9
-        assert report.lambda_star == pytest.approx(report.omega0, abs=1e-9)
+        assert report.lambda_star == pytest.approx(model.reference.omega0, abs=1e-9)
 
     def test_heterogeneous_droops_still_optimal(self):
         net = ten_bus_network(injections={2: 0.4, 5: -0.7})
@@ -554,9 +555,10 @@ class TestSteadyStateOptimality:
 
         net = PowerNetwork(buses, net.lines)
         cfgs = [uniform_fleet(1, "DC", r_r=float(rng.uniform(5, 40)))[0] for _ in range(10)]
-        report = verify_steady_state_optimality(assemble_closed_loop(net, cfgs))
+        model = assemble_closed_loop(net, cfgs)
+        report = verify_steady_state_optimality(model)
         assert report.passed
-        assert report.lambda_star == pytest.approx(report.omega0, abs=1e-9)
+        assert report.lambda_star == pytest.approx(model.reference.omega0, abs=1e-9)
 
     def test_idroop_matches_droop_allocation(self):
         net = ten_bus_network(injections={9: -0.5})
@@ -573,10 +575,12 @@ class TestSteadyStateOptimality:
         net = PowerNetwork([replace(net.buses[0], governor_droop=float("inf"), injection=0.3),
                             replace(net.buses[1], injection=-0.5)], net.lines)
         cfgs = [InverterConfig.droop(r_r=10.0), InverterConfig.idroop(r_r=20.0)]
-        report = verify_steady_state_optimality(assemble_closed_loop(net, cfgs))
+        model = assemble_closed_loop(net, cfgs)
+        report = verify_steady_state_optimality(model)
         assert report.passed
-        assert report.omega0 == pytest.approx(-0.2 / (1.5 + 1 / 15 + 1 / 10 + 1 / 20), rel=1e-12)
-        assert report.omega0 == pytest.approx(-0.11650, abs=5e-6)
+        omega0 = model.reference.omega0
+        assert omega0 == pytest.approx(-0.2 / (1.5 + 1 / 15 + 1 / 10 + 1 / 20), rel=1e-12)
+        assert omega0 == pytest.approx(-0.11650, abs=5e-6)
         assert report.max_gap_g <= 1e-15 and report.max_gap_r <= 1e-15
 
     def test_mismatched_costs_fail(self):

@@ -1,5 +1,8 @@
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -203,6 +206,17 @@ for command, *flags in (["steady-state"], ["stability"],
 assert main(["h2", "--network", network]) == 0
 assert scipy_loaded(), "h2"
 """
+
+
+def test_package_exports_exactly_its_modules_public_names():
+    """Each module's __all__ is the one list of its public names; the package
+    re-exports every library module's list and nothing else (the CLI is no library module)."""
+    modules = [info.name for info in pkgutil.iter_modules(gridfreq.__path__) if info.name != "cli"]
+    declared = {name for module in modules
+                for name in importlib.import_module(f"gridfreq.{module}").__all__}
+    exported = {name for name, value in vars(gridfreq).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == declared
 
 
 def test_scipy_loads_only_for_a_lyapunov_solve(tmp_path):
@@ -667,6 +681,25 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("numerical failure: squared H2 norm is not finite")
         assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("injection,susceptance", [(0.0, 5e-324), (1e308, 1e-300)])
+    def test_kron_reduction_past_the_float_range_exits_two(self, capsys, tmp_path, injection,
+                                                           susceptance):
+        """A load bus on a line too weak for the reduction to stay finite is a
+        numerical failure that names it, with no warning, and says nothing of
+        the generators' injections."""
+        obj = json.loads(Path(EXAMPLE).read_text())
+        obj["buses"].append({"id": 10, "kind": "load", "injection": injection})
+        obj["lines"].append({"from": 9, "to": 10, "susceptance": susceptance})
+        path = tmp_path / "weak-load.json"
+        path.write_text(json.dumps(obj))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["steady-state", "--network", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("numerical failure: Kron reduction eliminating buses [10] is not "
+                                "finite; their lines are too weak or their injections too large\n")
+        assert captured.out == ""
 
 
 DELETE = object()

@@ -350,6 +350,19 @@ class TestMarchAgainstReference:
         assert np.array_equal(states, oracles.reference_march(model, config, start))
 
     @pytest.mark.parametrize("mode", FLEETS)
+    def test_one_step_is_the_butcher_rk4_step(self, ten_bus, mode):
+        """The march's first step, phi z + psi u, against an RK4 step taken
+        from the four stages, which shares no code with phi and psi."""
+        model = assemble_closed_loop(ten_bus, uniform_fleet(10, mode, **FLEETS[mode]))
+        rng = np.random.default_rng(1)
+        z, u = rng.normal(size=model.n_states), rng.normal(size=model.n_buses)
+        steps = tuple(Disturbance(0.0, bus, float(u[bus])) for bus in range(model.n_buses))
+        config = SimConfig(dt=0.01, horizon=0.01, disturbances=steps)
+        step = simulate_deterministic(model, config, initial_state=z).states[1]
+        reference = oracles.rk4_step(model.a, model.injection, z, u, 0.01)
+        assert np.abs(step - reference).max() <= 1e-14 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("mode", FLEETS)
     def test_deterministic_is_bitwise_equal_across_block_seams(self, ten_bus, mode):
         self.test_deterministic_is_bitwise_equal(ten_bus, mode, SEAMS_HORIZON)
 
