@@ -123,10 +123,11 @@ def _h2(a, b, c, null_vector):
 
     A (d, d), B (d, 3k) and C (n, d) give one :class:`H2Result`; stacks
     (P, d, d), (P, d, 3k) and (P, n, d) give a list of P.  B holds the
-    three noise channels in equal column blocks.  A unit ``null_vector`` v
-    with A v = 0 and C v = 0 at every point marks the unobservable zero
-    mode; A - v v^T moves it to -1 and realizes the same transfer function.
-    The shift leaves A B3 unchanged because v^T B3 = 0.  The products that
+    three noise channels in equal column blocks.  ``null_vector`` holds one
+    v per point, or one (d,) v for all: a unit v with A v = 0 and C v = 0
+    marks the unobservable zero mode; A - v v^T moves it to -1 and realizes
+    the same transfer function.  The shift leaves A B3 unchanged because
+    v^T B3 = 0, and a zero v leaves every bit of A.  The products that
     cannot fail are formed once per stack; the points are then judged in
     order, each by the feedthrough, :func:`solve_lyapunov` and the norm,
     and the first failing point raises with its index as ``point``.
@@ -134,8 +135,7 @@ def _h2(a, b, c, null_vector):
     if np.ndim(a) == 2:
         return _h2(a[None], b[None], c[None], null_vector)[0]
     k = b.shape[-1] // 3
-    if null_vector is not None:
-        a = a - np.outer(null_vector, null_vector)
+    a = a - null_vector[..., :, None] * null_vector[..., None, :]
     with np.errstate(over="ignore", invalid="ignore"):
         feedthrough = c @ b[..., 2 * k :]
         b_eff = np.concatenate([b[..., :k], b[..., k : 2 * k] + a @ b[..., 2 * k :]], axis=-1)
@@ -265,13 +265,13 @@ def modal_decompose(model: StateSpaceModel) -> ModalDecomposition:
 
 def mode_norms(decomposition: ModalDecomposition) -> list[H2Result]:
     """Squared H2 norm of each decoupled mode; their sum equals the
-    full-model norm because the modal transform is orthonormal.  The first
-    modes, of eigenvalue 0 to 1e-12, have their angle integrator shifted
-    away; they are solved as one stack and the rest as another."""
-    a, b, c = decomposition.a, decomposition.b, decomposition.c
-    zero = int(np.count_nonzero(np.abs(decomposition.eigenvalues) < 1e-12))
-    return (_h2(a[:zero], b[:zero], c[:zero], np.eye(a.shape[-1])[0])
-            + _h2(a[zero:], b[zero:], c[zero:], None))
+    full-model norm because the modal transform is orthonormal.  The modes
+    of |eigenvalue| < 1e-12 have their angle integrator shifted away.  All
+    modes are solved as one stack, so a failing mode's index is the error's
+    ``point``."""
+    null_vectors = np.zeros(decomposition.a.shape[:-1])
+    null_vectors[np.abs(decomposition.eigenvalues) < 1e-12, 0] = 1.0
+    return _h2(decomposition.a, decomposition.b, decomposition.c, null_vectors)
 
 
 def _coefficients(values, field: str) -> np.ndarray:

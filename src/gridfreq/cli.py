@@ -82,10 +82,11 @@ def _write_trajectory_csv(path: Path, trajectory, bus_ids) -> None:
         + [f"q_r_dev_{i}" for i in bus_ids]
         + [f"x_{bus_ids[i]}" for i in trajectory.model.idroop_buses]
     )
+    times = trajectory.times
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
         for rows, q_r, x in trajectory.blocks():  # a whole table copies the run
-            table = [trajectory.times[rows, None], trajectory.theta_dev[rows],
+            table = [times[rows, None], trajectory.theta_dev[rows],
                      trajectory.omega_dev[rows], q_r, x]
             for row in np.hstack(table).tolist():
                 fh.write(",".join(map(repr, row)) + "\n")

@@ -122,24 +122,18 @@ class PowerNetwork:
         return lap
 
 
-def _reached(adjacency: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Mask of the nodes joined by a path to the ``start`` mask (frontier BFS)."""
-    seen = start.copy()
-    frontier = start
-    while frontier.any():
-        frontier = adjacency[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return seen
-
-
 def _components(adjacency: np.ndarray) -> list[list[int]]:
-    """Connected components of a boolean adjacency matrix, as sorted id
-    lists ordered by their smallest id; they serve both the disconnection
-    check and the load-island check of the reduction."""
+    """Connected components of a boolean adjacency matrix, found by frontier
+    BFS, as sorted id lists ordered by their smallest id; they serve both the
+    disconnection check and the load-island check of the reduction."""
     left = np.ones(adjacency.shape[0], dtype=bool)
     components = []
     while left.any():
-        members = _reached(adjacency, np.arange(left.size) == left.argmax())
+        frontier = np.arange(left.size) == left.argmax()
+        members = frontier.copy()
+        while frontier.any():
+            frontier = adjacency[frontier].any(axis=0) & ~members
+            members |= frontier
         components.append(np.flatnonzero(members).tolist())
         left &= ~members
     return components
@@ -228,19 +222,15 @@ def kron_reduce(laplacian: np.ndarray, retained) -> np.ndarray:
     if not eliminated:
         return lap.copy()
 
-    # A load island (eliminated buses with no path to a retained bus) makes
-    # the eliminated block singular; report it by name instead of failing
-    # inside the linear solve.
-    adjacency = lap != 0.0
-    kept = np.zeros(n, dtype=bool)
-    kept[retained] = True
-    cut_off = ~_reached(adjacency, kept)
-    if cut_off.any():
-        island = _components(adjacency[np.ix_(cut_off, cut_off)])[0]
-        raise ValidationError(
-            f"eliminated buses {np.flatnonzero(cut_off)[island].tolist()} form an island "
-            "with no connection to retained buses; the reduction is singular"
-        )
+    # A load island (a component with no retained bus) makes the eliminated
+    # block singular; report the first by name instead of failing inside the
+    # linear solve.
+    for component in _components(lap != 0.0):
+        if set(component).isdisjoint(retained):
+            raise ValidationError(
+                f"eliminated buses {component} form an island "
+                "with no connection to retained buses; the reduction is singular"
+            )
 
     l_rr = lap[np.ix_(retained, retained)]
     l_re = lap[np.ix_(retained, eliminated)]

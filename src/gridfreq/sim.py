@@ -8,12 +8,12 @@ its rows 1.. hold the drive psi @ u[k] until step k writes its state over
 it: phi @ z goes into one small buffer (``phi.dot(z, out=product)``) and is
 added into the row, so a step allocates and copies nothing, and the states
 are bit for bit those of the plain recurrence.  A run holds its states and
-times and no other array of its length.  Its inputs u are an event table
-of one row per disturbance start, expanded one block of BLOCK_STEPS rows at
-a time; the drive and the noise go in the same blocks.  Each block's drive
-is written, its rows marched and scanned for non-finite states before the
-next block starts, so a diverging run stops within one block of the step
-where it diverged.
+no other array of its length; its times and inputs are read off its
+SimConfig.  The inputs u are an event table of one row per disturbance
+start, expanded one block of BLOCK_STEPS rows at a time; the drive and the
+noise go in the same blocks.  Each block's drive is written, its rows
+marched and scanned for non-finite states before the next block starts, so
+a diverging run stops within one block of the step where it diverged.
 
 Stochastic runs add Euler-Maruyama noise increments into the same drive:
 Gaussian increments of variance dt per channel for w1 and w2 (all of dW1,
@@ -25,8 +25,9 @@ deliberately not suppressed.
 
 The inverter-power trace is the model's output q_r_dev = power @ z +
 power_injection @ u, so the control laws are encoded in dynamics only.  A
-run keeps its model, and derives that trace and the dynamic-droop states
-from its states, block by block, whenever the metrics or a caller reads them.
+run keeps its model and its config, and derives that trace and the
+dynamic-droop states from its states, block by block, whenever the metrics
+or a caller reads them.
 """
 
 from __future__ import annotations
@@ -100,24 +101,26 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A uniformly sampled run: its times and states, the model that made it,
-    and its inputs.  Only ``times`` and ``states`` span the run.
+    """A uniformly sampled run: its states, the model that made it and the
+    config it ran.  Only ``states`` spans the run.
 
-    The inputs u are an event table: ``event_rows`` holds the ascending rows
-    at which u changes (row 0 first) and ``event_inputs`` u's value from each
-    of them on.  theta_dev/omega_dev are views of the states, relative to the
-    model's reference steady state.  q_r_dev = power @ z + power_injection @ u
-    and x, the absolute dynamic-droop states (columns follow the model's
-    ``idroop_buses``), are computed on each read and never cached;
-    :meth:`blocks` yields both one block at a time.  x solves the reference
-    steady state on its first read and raises where that fails.
+    ``times`` and the inputs u are read off the config: row k is at k * dt,
+    and u is the event table that :func:`_input_events` builds from the
+    disturbances.  theta_dev/omega_dev are views of the states, relative to
+    the model's reference steady state.  q_r_dev = power @ z +
+    power_injection @ u and x, the absolute dynamic-droop states (columns
+    follow the model's ``idroop_buses``), are computed on each read and never
+    cached; :meth:`blocks` yields both one block at a time.  x solves the
+    reference steady state on its first read and raises where that fails.
     """
 
-    times: np.ndarray
     states: np.ndarray
     model: StateSpaceModel
-    event_rows: np.ndarray
-    event_inputs: np.ndarray
+    config: SimConfig
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(len(self.states)) * self.config.dt
 
     @property
     def theta_dev(self) -> np.ndarray:
@@ -130,7 +133,7 @@ class Trajectory:
 
     @property
     def q_r_dev(self) -> np.ndarray:
-        whole = np.empty((len(self.times), self.model.n_buses))
+        whole = np.empty((len(self.states), self.model.n_buses))
         for rows, q_r, _ in self.blocks():
             whole[rows] = q_r
         return whole
@@ -145,10 +148,11 @@ class Trajectory:
         block's power trace is one product of its rows, so the last block
         takes up to BLOCK_STEPS + 1 rows, as the march's do."""
         model, x_star = self.model, self.model.reference.x_star
-        for rows in _blocks(len(self.times)):
+        events = _input_events(self.config, model.n_buses)
+        for rows in _blocks(len(self.states)):
             states = self.states[rows]
             with np.errstate(over="ignore", invalid="ignore"):  # overflows are named by the metrics
-                q_r = _inputs(self.event_rows, self.event_inputs, rows) @ model.power_injection.T
+                q_r = _inputs(*events, rows) @ model.power_injection.T
                 q_r += states @ model.power.T
                 x = states[:, 2 * model.n_buses :] + x_star
             yield rows, q_r, x
@@ -220,15 +224,17 @@ def _step_count(model: StateSpaceModel, config: SimConfig) -> int:
     """Steps of a run, rejecting runs that need more bytes at their peak than
     the machine's physical memory before anything run-length is allocated.
 
-    A run holds d + 1 floats a step, its states and its time, and keeps its
-    inputs as a table of one row per disturbance start.  compute_metrics adds
-    half a float a step: the row sums of omega**2 over the last half.  Every
-    other array, in the march and in whatever reads the run (the power trace
-    and the dynamic-droop states, the metrics, the CSV rows), spans one block,
-    and one block's temporaries add at most d + 4n floats a row: tracemalloc
-    read d + 3n for the noise of the bundled iDroop document.  A 500 s
-    stochastic run of that document and its metrics count 13.17 MB;
-    tracemalloc read 13.07 MB, against 12 MB of states.
+    A run holds d floats a step, its states; its times and its inputs, a
+    table of one row per disturbance start, are read off its config.  The
+    count adds one float a step for the time grid that ``times`` builds on
+    each read (the CSV reads it once), and compute_metrics half a float a
+    step: the row sums of omega**2 over the last half.  Every other array, in
+    the march and in whatever reads the run (the power trace and the
+    dynamic-droop states, the metrics, the CSV rows), spans one block, and
+    one block's temporaries add at most d + 4n floats a row: tracemalloc read
+    d + 3n for the noise of the bundled iDroop document.  A 500 s stochastic
+    run of that document and its metrics count 13.17 MB; tracemalloc read
+    12.68 MB, against 12 MB of states.
     """
     n_steps = _grid_row(config.horizon, config.dt)
     d, n = model.n_states, model.n_buses
@@ -272,7 +278,6 @@ def _march(model, config, initial_state) -> Trajectory:
     z = np.zeros(dim) if initial_state is None else np.asarray(initial_state, dtype=float).copy()
     if z.shape != (dim,) or not np.all(np.isfinite(z)):
         raise ValidationError(f"initial state must be a finite vector of shape ({dim},)")
-    times = np.arange(n_steps + 1) * config.dt
     states = np.empty((n_steps + 1, dim))
     states[0] = z
     drive = states[1:]  # each row holds its step's drive until the step writes the state there
@@ -294,9 +299,9 @@ def _march(model, config, initial_state) -> Trajectory:
             if not finite.all():
                 k = blk.start + 1 + int(finite.argmin())  # first non-finite sample; k >= 1
                 raise SimulationDiverged(
-                    f"simulation diverged at t={times[k]:.6g}", float(times[k - 1]),
+                    f"simulation diverged at t={k * config.dt:.6g}", float((k - 1) * config.dt),
                     states[k - 1].copy())
-    return Trajectory(times, states, model, *events)
+    return Trajectory(states, model, config)
 
 
 def simulate_deterministic(model: StateSpaceModel, config: SimConfig,

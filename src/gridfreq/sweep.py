@@ -206,7 +206,8 @@ def run_sweep(network, configs, noise, spec: SweepSpec, sim_config=None) -> list
     """
     if spec.metric == "nadir":
         if sim_config is None or not sim_config.disturbances:
-            raise ValidationError("nadir sweep needs a SimConfig with disturbances")
+            raise ValidationError("nadir sweep needs a SimConfig with disturbances; a network "
+                                  "document lists them in its \"disturbances\" field")
 
     fleet = _fleet(network.buses, configs, noise)
     configs = fleet[0]

@@ -194,7 +194,7 @@ class TestSolveLyapunov:
 
         monkeypatch.setattr(scipy.linalg, "schur", counted)
         with pytest.raises(NumericalError, match="right half-plane") as excinfo:
-            analysis._h2(a, b, c, None)
+            analysis._h2(a, b, c, np.zeros(4))
         assert excinfo.value.point == 2
         assert len(calls) == 3
 
@@ -414,8 +414,8 @@ class TestModal:
     @pytest.mark.parametrize("mode", ["CP", "DC", "VI", "IDROOP"])
     def test_one_stacked_build_and_two_solves(self, monkeypatch, ten_bus, mode):
         # Every mode comes from one stacked closed-loop build, and the norms
-        # from two stacked solves: the zero mode with its integrator shifted
-        # away, then all the others.  Each equals its one-mode solve.
+        # from one stacked solve, which shifts the zero mode's integrator
+        # away and leaves the others as built.  Each equals its one-mode solve.
         params = {"CP": {}, "DC": dict(r_r=15.0), "VI": dict(r_r=15.0, m_v=0.15),
                   "IDROOP": dict(r_r=15.0, delta=6.0, nu=0.9)}[mode]
         calls = {"_loop_matrices": [], "_h2": []}
@@ -431,13 +431,25 @@ class TestModal:
             ten_bus, uniform_fleet(10, mode, **params), [NoiseGains(k1=0.1, k2=5.0)] * 10))
         norms = mode_norms(decomposition)
         assert len(calls["_loop_matrices"]) == 1
-        assert [len(args[0]) for args in calls["_h2"]] == [1, 9]
-        assert calls["_h2"][0][3].tolist() == [1.0] + [0.0] * (decomposition.a.shape[-1] - 1)
-        assert calls["_h2"][1][3] is None
+        [(_, _, _, null_vectors)] = calls["_h2"]
+        dim = decomposition.a.shape[-1]
+        assert null_vectors.tolist() == [[1.0] + [0.0] * (dim - 1)] + [[0.0] * dim] * 9
         for k, result in enumerate(norms):
-            null = calls["_h2"][0][3] if k == 0 else None
-            alone = analysis._h2(decomposition.a[k], decomposition.b[k], decomposition.c[k], null)
+            alone = analysis._h2(decomposition.a[k], decomposition.b[k], decomposition.c[k],
+                                 null_vectors[k])
             assert repr(result) == repr(alone)
+
+    def test_a_failing_mode_is_named_by_its_index(self):
+        # Negating a non-zero mode's state matrix makes it unstable; the
+        # error's point is that mode's index among all modes.
+        system = reduce_document(load_document(resources.files("gridfreq") / "data"
+                                               / "example-10bus.json"))
+        decomposition = modal_decompose(
+            assemble_closed_loop(system.network, system.configs, system.noise))
+        decomposition.a[3] *= -1.0
+        with pytest.raises(NumericalError, match="right half-plane") as excinfo:
+            mode_norms(decomposition)
+        assert excinfo.value.point == 3
 
     def test_heterogeneous_fleet_rejected(self, ten_bus):
         cfgs = uniform_fleet(10, "DC", r_r=15.0)

@@ -443,8 +443,8 @@ class TestCli:
         model = SimpleNamespace(n_buses=2, power=np.hstack([-np.eye(2), np.zeros((2, 3))]),
                                 power_injection=np.zeros((2, 2)), idroop_buses=(1,),
                                 reference=SimpleNamespace(x_star=np.zeros(1), omega0=0.0))
-        trajectory = Trajectory(times=times, states=np.hstack([theta, omega, x]), model=model,
-                                event_rows=np.zeros(1, dtype=int), event_inputs=np.zeros((1, 2)))
+        trajectory = Trajectory(states=np.hstack([theta, omega, x]), model=model,
+                                config=SimConfig(dt=0.5, horizon=1.0))
         path = tmp_path / "trajectory.csv"
         _write_trajectory_csv(path, trajectory, [4, 7])
         lines = ["t,theta_dev_4,theta_dev_7,omega_dev_4,omega_dev_7,q_r_dev_4,q_r_dev_7,x_7"]
@@ -564,6 +564,23 @@ class TestCli:
                                  "metric": "nadir"})
         with pytest.raises(ValidationError, match="disturbances"):
             run_sweep(ten_bus_network(), uniform_fleet(10, "DC", r_r=15.0), None, spec)
+
+    def test_nadir_sweep_of_a_document_without_disturbances_names_the_field(
+            self, capsys, tmp_path):
+        obj = json.loads(Path(EXAMPLE).read_text())
+        obj["disturbances"] = []
+        path = tmp_path / "still.json"
+        path.write_text(json.dumps(obj))
+        spec = tmp_path / "nadir.json"
+        spec.write_text(json.dumps({"axes": [{"name": "delta", "min": 2.0, "max": 6.0, "count": 3},
+                                             {"name": "nu", "min": 0.5, "max": 1.0, "count": 3}],
+                                    "metric": "nadir"}))
+        assert main(["sweep", "--network", str(path), "--sweep", str(spec),
+                     "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ('error: nadir sweep needs a SimConfig with disturbances; a network '
+                                'document lists them in its "disturbances" field\n')
 
     def test_bad_sweep_specs_rejected(self):
         """The JSON reader and a SweepSpec built in code refuse each spec with

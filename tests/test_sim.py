@@ -2,7 +2,7 @@ import os
 import re
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,7 +26,7 @@ from gridfreq import (
     uniform_fleet,
 )
 from gridfreq.errors import InjectionOverflow
-from gridfreq.sim import BLOCK_STEPS
+from gridfreq.sim import BLOCK_STEPS, _input_events
 from conftest import high_noise, random_connected_network, ten_bus_network
 from oracles import h2_closed_form, lyapunov_diagnostics
 import oracles
@@ -123,10 +123,10 @@ class TestSimConfig:
         assert (steps + 1) * 30 * 8 < peak <= count
 
 
-    def test_a_returned_run_holds_its_states_and_times(self, ten_bus, idroop_fleet):
-        """After a 500 s stochastic run returns, tracemalloc finds d + 1 floats
-        a step, the states and the times, and a few small arrays; no other
-        field of the run spans its length."""
+    def test_a_returned_run_holds_only_its_states(self, ten_bus, idroop_fleet):
+        """After a 500 s stochastic run returns, tracemalloc finds d floats a
+        step, the states, and a few small arrays; no other field of the run
+        spans its length."""
         model = assemble_closed_loop(ten_bus, idroop_fleet, high_noise(10))
         config = SimConfig(dt=0.01, horizon=500.0, seed=1, noise_enabled=True)
         simulate_stochastic(model, replace(config, horizon=1.0))  # the reference and numpy.random
@@ -136,10 +136,19 @@ class TestSimConfig:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert 50_001 * (30 + 1) * 8 < held <= 50_001 * (30 + 1) * 8 + 16_384
+        assert 50_001 * 30 * 8 < held <= 50_001 * 30 * 8 + 16_384
         spans = [name for name, value in vars(trajectory).items()
                  if np.ndim(value) and len(value) == 50_001]
-        assert spans == ["times", "states"]
+        assert spans == ["states"]
+
+    def test_a_run_is_its_states_model_and_config(self, ten_bus, dc_fleet):
+        """A run's record holds what made it, and its times are the march's
+        grid, k * dt, bit for bit."""
+        assert [f.name for f in fields(Trajectory)] == ["states", "model", "config"]
+        config = SimConfig(dt=0.03, horizon=40.0, disturbances=STEP)
+        trajectory = simulate_deterministic(assemble_closed_loop(ten_bus, dc_fleet), config)
+        assert trajectory.config is config
+        assert trajectory.times.tobytes() == (np.arange(1334 + 1) * 0.03).tobytes()
 
 
 class TestDisturbance:
@@ -269,8 +278,9 @@ class TestDeterministic:
         config = SimConfig(dt=0.01, horizon=horizon, disturbances=(Disturbance(horizon, 2, 0.5),))
         trajectory = simulate_deterministic(model, config)
         assert len(trajectory.times) == steps + 1
-        assert trajectory.event_rows.tolist() == [0, steps]
-        assert trajectory.event_inputs[1, 2] == 0.5
+        rows, inputs = _input_events(config, model.n_buses)
+        assert rows.tolist() == [0, steps]
+        assert inputs[1, 2] == 0.5
 
     def test_virtual_inertia_power_jumps_at_event(self, ten_bus):
         cfgs = uniform_fleet(10, "VI", r_r=15.0, m_v=0.15)
@@ -434,9 +444,9 @@ class TestMarchAgainstReference:
         trajectory = (simulate_stochastic if noise else simulate_deterministic)(model, config)
         u = oracles.input_schedule(model, config)
         rows = [0, BLOCK_STEPS, 2 * BLOCK_STEPS, 3 * BLOCK_STEPS]
-        assert trajectory.event_rows.tolist() == rows
-        assert np.array_equal(
-            np.repeat(trajectory.event_inputs, np.diff([*rows, len(u)]), axis=0), u)
+        event_rows, event_inputs = _input_events(config, model.n_buses)
+        assert event_rows.tolist() == rows
+        assert np.array_equal(np.repeat(event_inputs, np.diff([*rows, len(u)]), axis=0), u)
         assert np.array_equal(trajectory.q_r_dev,
                               trajectory.states @ model.power.T + u @ model.power_injection.T)
 
@@ -585,7 +595,7 @@ class TestMetricsAgainstReference:
         omega = np.zeros((3 * BLOCK_STEPS + 17, 3))
         for index, value in peaks.items():
             omega[index] = value
-        trajectory = TestMetrics().make_trajectory(np.arange(len(omega)) * 0.01, omega)
+        trajectory = TestMetrics().make_trajectory(omega, 0.01)
         if np.isfinite(list(peaks.values())).all():
             assert compute_metrics(trajectory) == oracles.reference_metrics(trajectory)
             return
@@ -596,30 +606,22 @@ class TestMetricsAgainstReference:
 
 
 class TestMetrics:
-    def make_trajectory(self, times, omega, q_r=None, base_omega0=0.0):
-        """A trajectory of zero angles whose omega_dev is ``omega`` and whose
-        q_r_dev is ``q_r`` (zeros by default): the power map reads nothing of
-        the states, and q_r comes in as the inputs, one event a row, through
-        an identity injection map."""
+    def make_trajectory(self, omega, dt):
+        """A trajectory of zero angles, at steps of ``dt``, whose omega_dev is
+        ``omega`` and whose q_r_dev is zero: the power map reads nothing of
+        the states, and the config holds no disturbance."""
         n = omega.shape[1]
-        if q_r is None:
-            rows, inputs = np.zeros(1, dtype=int), np.zeros((1, n))
-        else:
-            rows, inputs = np.arange(len(q_r)), q_r
         model = SimpleNamespace(n_buses=n, power=np.zeros((n, 2 * n)), power_injection=np.eye(n),
                                 idroop_buses=(),
-                                reference=SimpleNamespace(x_star=np.zeros(0), omega0=base_omega0))
+                                reference=SimpleNamespace(x_star=np.zeros(0), omega0=0.0))
         return Trajectory(
-            times=times,
             states=np.hstack([np.zeros_like(omega), omega]),
             model=model,
-            event_rows=rows,
-            event_inputs=inputs,
+            config=SimConfig(dt=dt, horizon=(len(omega) - 1) * dt),
         )
 
     def test_zero_trajectory_zero_metrics(self):
-        times = np.linspace(0.0, 1.0, 11)
-        metrics = compute_metrics(self.make_trajectory(times, np.zeros((11, 2))))
+        metrics = compute_metrics(self.make_trajectory(np.zeros((11, 2)), 0.1))
         assert metrics.nadir == 0.0
         assert metrics.settling_frequency == 0.0
         assert metrics.peak_inverter_power == 0.0
@@ -629,14 +631,14 @@ class TestMetrics:
         times = np.linspace(0.0, 4.0, 401)
         omega = np.zeros((401, 1))
         omega[:, 0] = -0.3 * np.exp(-((times - 2.0) ** 2) / 0.1)
-        metrics = compute_metrics(self.make_trajectory(times, omega))
+        metrics = compute_metrics(self.make_trajectory(omega, 0.01))
         assert metrics.nadir == pytest.approx(-0.3)
 
     def test_nadir_keeps_disturbance_sign(self):
         times = np.linspace(0.0, 1.0, 101)
         omega = np.zeros((101, 1))
         omega[:, 0] = 0.2 * np.sin(times * np.pi)
-        metrics = compute_metrics(self.make_trajectory(times, omega))
+        metrics = compute_metrics(self.make_trajectory(omega, 0.01))
         assert metrics.nadir == pytest.approx(0.2, abs=1e-3)
 
     def test_nadir_negative_for_load_increase(self, ten_bus, dc_fleet):
