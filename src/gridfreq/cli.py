@@ -68,7 +68,7 @@ def _emit(obj, path: Path | None = None) -> None:
     print(text)
 
 
-def _steady_state_cmd(args, system) -> int:
+def _steady_state_cmd(args, system, bus_ids) -> int:
     model = assemble_closed_loop(system.network, system.configs)
     _emit({**asdict(model.reference), "optimality": verify_steady_state_optimality(model)})
     return EXIT_OK
@@ -82,17 +82,18 @@ def _write_trajectory_csv(path: Path, trajectory, bus_ids) -> None:
         + [f"q_r_dev_{i}" for i in bus_ids]
         + [f"x_{bus_ids[i]}" for i in trajectory.model.idroop_buses]
     )
-    times = trajectory.times
+    dt = trajectory.config.dt
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
         for rows, q_r, x in trajectory.blocks():  # a whole table copies the run
-            table = [times[rows, None], trajectory.theta_dev[rows],
-                     trajectory.omega_dev[rows], q_r, x]
-            for row in np.hstack(table).tolist():
-                fh.write(",".join(map(repr, row)) + "\n")
+            # the times' own expression, k * dt, for this block's rows only
+            table = np.hstack([np.arange(rows.start, rows.stop)[:, None] * dt,
+                               trajectory.theta_dev[rows], trajectory.omega_dev[rows], q_r, x])
+            for row in table:  # one row of Python floats at a time
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
-def _simulate_cmd(args, system) -> int:
+def _simulate_cmd(args, system, bus_ids) -> int:
     if args.stochastic and args.seed is None:
         raise ValidationError("--stochastic requires --seed")
     horizon = args.horizon if args.horizon is not None else 2000.0 if args.stochastic else 30.0
@@ -104,7 +105,7 @@ def _simulate_cmd(args, system) -> int:
     metrics = compute_metrics(trajectory)
 
     args.out.mkdir(parents=True, exist_ok=True)
-    _write_trajectory_csv(args.out / TRAJECTORY_CSV, trajectory, system.bus_ids)
+    _write_trajectory_csv(args.out / TRAJECTORY_CSV, trajectory, bus_ids)
     _emit(metrics, args.out / METRICS_JSON)
     return EXIT_OK
 
@@ -116,7 +117,7 @@ def _h2_value(result) -> dict:
     return {"feedthrough_gain": result.feedthrough_gain}
 
 
-def _h2_cmd(args, system) -> int:
+def _h2_cmd(args, system, bus_ids) -> int:
     model = assemble_closed_loop(system.network, system.configs, system.noise)
     result = h2_frequency_weighted(model)
     summary = {"kind": result.kind, "method": "gramian", **_h2_value(result)}
@@ -131,15 +132,14 @@ def _h2_cmd(args, system) -> int:
     return EXIT_OK
 
 
-def _stability_cmd(args, system) -> int:
+def _stability_cmd(args, system, bus_ids) -> int:
     certificate = check_decentralized_stability(system.configs, system.network.buses)
-    bus_ids = system.bus_ids
     _emit({"passed": certificate.passed,
            "conditions": [replace(c, bus=bus_ids[c.bus]) for c in certificate.conditions]})
     return EXIT_OK
 
 
-def _modal_cmd(args, system) -> int:
+def _modal_cmd(args, system, bus_ids) -> int:
     model = assemble_closed_loop(system.network, system.configs, system.noise)
     decomposition = modal_decompose(model)
     norms = mode_norms(decomposition)
@@ -155,7 +155,7 @@ def _modal_cmd(args, system) -> int:
     return EXIT_OK
 
 
-def _sweep_cmd(args, system) -> int:
+def _sweep_cmd(args, system, bus_ids) -> int:
     spec = load_sweep_spec(args.sweep)
     sim_config = None
     if spec.metric == "nadir":
@@ -225,11 +225,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
     try:
-        system = reduce_document(load_document(args.network))
+        document = load_document(args.network)
+        bus_ids = document.network.generator_ids  # the document id of each model bus
         try:
-            return args.run(args, system)
+            return args.run(args, reduce_document(document), bus_ids)
         except InjectionOverflow as exc:  # name the bus by its document id, not its model index
-            raise InjectionOverflow(exc.bus, system.bus_ids[exc.bus]) from None
+            raise InjectionOverflow(exc.bus, bus_ids[exc.bus]) from None
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -1,15 +1,17 @@
 """Network document and sweep-spec ingestion (versioned JSON schema).
 
 A document carries buses, lines, per-generator inverter configs, per-bus
-noise gains and optional scheduled injection steps.  No command writes a
-document, so there is no writer here.  Documents and sweep specs share one
-JSON reader, and their schema errors name the field in the same way.
+noise gains and optional scheduled injection steps.  Its Kron reduction is a
+document too, whose buses are all generators: reduced bus k is the loaded
+document's bus ``network.generator_ids[k]``.  No command writes a document,
+so there is no writer here.  Documents and sweep specs share one JSON
+reader, and their schema errors name the field in the same way.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .control import InverterConfig, NoiseGains, _mode
@@ -20,7 +22,6 @@ from .sweep import SweepAxis, SweepSpec
 
 __all__ = [
     "NetworkDocument",
-    "ReducedSystem",
     "SCHEMA_VERSION",
     "load_document",
     "load_sweep_spec",
@@ -34,28 +35,14 @@ SCHEMA_VERSION = "1"
 
 @dataclass(frozen=True)
 class NetworkDocument:
-    network: PowerNetwork
-    inverters: tuple[InverterConfig, ...]  # aligned with generator buses, in id order
-    noise: tuple[NoiseGains, ...]  # aligned with all buses, in id order
-    disturbances: tuple[Disturbance, ...]
-    comment: str | None = None
-
-
-@dataclass(frozen=True)
-class ReducedSystem:
-    """Generator-only system ready for dynamic analysis, with the map from
-    original bus ids to reduced indices."""
+    """A network with one inverter config per generator bus and one noise
+    gain per bus, both in id order, and disturbances named by bus id."""
 
     network: PowerNetwork
     configs: tuple[InverterConfig, ...]
     noise: tuple[NoiseGains, ...]
     disturbances: tuple[Disturbance, ...]
-    id_map: dict[int, int]
-
-    @property
-    def bus_ids(self) -> list[int]:
-        """Original document id of each reduced bus, in reduced order."""
-        return sorted(self.id_map, key=self.id_map.get)
+    comment: str | None = None
 
 
 _REQUIRED = object()
@@ -120,10 +107,8 @@ def parse_document(obj: dict) -> NetworkDocument:
         kwargs = {key: _finite(entry[key], f"{where}.{key}")
                   for key in ("q0", "r_r", "m_v", "delta", "nu") if entry.get(key) is not None}
         by_bus[bus] = InverterConfig(mode=_field(entry, "mode", where, _mode), **kwargs)
-    inverters = tuple(
-        by_bus.get(bus_id, InverterConfig.constant_power(0.0))
-        for bus_id in sorted(generator_ids)
-    )
+    configs = tuple(by_bus.get(bus_id, InverterConfig.constant_power(0.0))
+                    for bus_id in sorted(generator_ids))
 
     noise_by_bus: dict[int, NoiseGains] = {}
     for where, entry in _entries(obj, "noise"):
@@ -144,7 +129,7 @@ def parse_document(obj: dict) -> NetworkDocument:
 
     return NetworkDocument(
         network=network,
-        inverters=inverters,
+        configs=configs,
         noise=noise,
         disturbances=tuple(disturbances),
         comment=obj.get("comment"),
@@ -181,8 +166,11 @@ def load_sweep_spec(path) -> SweepSpec:
     return parse_sweep_spec(_read_json(path))
 
 
-def reduce_document(doc: NetworkDocument) -> ReducedSystem:
-    """Kron-reduce a document's network and re-index everything to it.
+def reduce_document(doc: NetworkDocument) -> NetworkDocument:
+    """The document of doc's Kron-reduced network: its bus k is doc's bus
+    ``doc.network.generator_ids[k]``, whose config and noise it keeps, and
+    its disturbances are re-indexed to match.  Reducing it again returns an
+    equal document.
 
     Noise on a load bus has no channel in the reduced model and is rejected.
     """
@@ -190,15 +178,10 @@ def reduce_document(doc: NetworkDocument) -> ReducedSystem:
     for bus in doc.network.buses:
         _require(bus.id in id_map or doc.noise[bus.id] == NoiseGains(),
                  f"noise on load bus {bus.id} is not supported; declare it on generator buses")
-    noise = tuple(doc.noise[orig] for orig in sorted(id_map, key=id_map.get))
-    disturbances = tuple(
-        Disturbance(time=d.time, bus=id_map[d.bus], delta_p=d.delta_p)
-        for d in doc.disturbances
-    )
-    return ReducedSystem(
+    return NetworkDocument(
         network=reduced,
-        configs=doc.inverters,
-        noise=noise,
-        disturbances=disturbances,
-        id_map=id_map,
+        configs=doc.configs,
+        noise=tuple(doc.noise[i] for i in doc.network.generator_ids),
+        disturbances=tuple(replace(d, bus=id_map[d.bus]) for d in doc.disturbances),
+        comment=doc.comment,
     )

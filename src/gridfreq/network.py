@@ -155,6 +155,9 @@ def _bus_violations(bus: Bus) -> list[str]:
                 violations.append(f"generator bus {bus.id}: {label} must be > 0")
             elif not math.isfinite(1.0 / value):
                 violations.append(f"generator bus {bus.id}: {label} {value} has no finite inverse")
+        if not violations and not math.isfinite(bus.damping + 1.0 / bus.governor_droop):
+            violations.append(f"generator bus {bus.id}: damping plus governor slope "
+                              "1/governor_droop must be finite")
     elif bus.inertia is not None or bus.governor_droop is not None:
         violations.append(f"load bus {bus.id}: must not carry inertia/governor parameters")
     return violations

@@ -227,18 +227,20 @@ def _step_count(model: StateSpaceModel, config: SimConfig) -> int:
     A run holds d floats a step, its states; its times and its inputs, a
     table of one row per disturbance start, are read off its config.  The
     count adds one float a step for the time grid that ``times`` builds on
-    each read (the CSV reads it once), and compute_metrics half a float a
-    step: the row sums of omega**2 over the last half.  Every other array, in
-    the march and in whatever reads the run (the power trace and the
-    dynamic-droop states, the metrics, the CSV rows), spans one block, and
-    one block's temporaries add at most d + 4n floats a row: tracemalloc read
-    d + 3n for the noise of the bundled iDroop document.  A 500 s stochastic
-    run of that document and its metrics count 13.17 MB; tracemalloc read
-    12.68 MB, against 12 MB of states.
+    each read, and compute_metrics half a float a step: the row sums of
+    omega**2 over the last half.  Every other array, in the march and in
+    whatever reads the run (the power trace and the dynamic-droop states,
+    the metrics, the CSV), spans one block.  One block's temporaries add at
+    most d + 4n floats a row (tracemalloc read d + 3n for the noise of the
+    bundled iDroop document), and the CSV's table of a block 1 + n + d more
+    (a time, theta, omega, q_r and x: 1 + 3n + the iDroop count).  A 500 s
+    stochastic run of that document, its metrics and its CSV count 13.51 MB;
+    tracemalloc read 12.88 MB, against 12 MB of states.
     """
     n_steps = _grid_row(config.horizon, config.dt)
     d, n = model.n_states, model.n_buses
-    size = ((n_steps + 1) * (d + 1) + (n_steps + 2) / 2 + (BLOCK_STEPS + 1) * (d + 4 * n)) * 8
+    block = (BLOCK_STEPS + 1) * (d + 4 * n + 1 + n + d)
+    size = ((n_steps + 1) * (d + 1) + (n_steps + 2) / 2 + block) * 8
     memory = _physical_memory()
     if size > memory:
         raise ValidationError(

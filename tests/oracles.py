@@ -395,7 +395,7 @@ def document_to_obj(doc: NetworkDocument) -> dict:
         for ln in doc.network.lines
     ]
     obj["inverters"] = []
-    for bus_id, cfg in zip(sorted(doc.network.generator_ids), doc.inverters):
+    for bus_id, cfg in zip(sorted(doc.network.generator_ids), doc.configs):
         entry = {"bus": bus_id, "mode": cfg.mode.value, "q0": cfg.q0}
         for key in ("r_r", "m_v", "delta", "nu"):
             value = getattr(cfg, key)

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gridfreq import (
+    NetworkDocument,
     SimConfig,
     SweepAxis,
     SweepSpec,
@@ -84,8 +85,8 @@ class TestDocument:
     def test_missing_inverter_defaults_to_constant_power(self):
         doc = parse_document(minimal_doc_obj())
         # bus 2 has no inverter entry
-        assert doc.inverters[1].mode.value == "CP"
-        assert doc.inverters[1].q0 == 0.0
+        assert doc.configs[1].mode.value == "CP"
+        assert doc.configs[1].q0 == 0.0
 
     def test_unknown_schema_rejected(self):
         obj = minimal_doc_obj()
@@ -112,13 +113,26 @@ class TestDocument:
             parse_document(obj)
 
     def test_reduce_document_maps_ids(self):
-        system = reduce_document(parse_document(minimal_doc_obj()))
+        doc = parse_document(minimal_doc_obj())
+        system = reduce_document(doc)
         assert system.network.n_buses == 2
-        assert system.id_map == {0: 0, 2: 1}
-        assert system.bus_ids == [0, 2]
+        assert doc.network.generator_ids == (0, 2)
         assert system.disturbances[0].bus == 1
         # the load-bus injection redistributes evenly over the symmetric path
         assert np.allclose(system.network.injections(), [0.1, -0.1])
+
+    def test_a_reduced_document_reduces_to_itself(self):
+        """A reduced document is a document of generator buses only: it keeps
+        the configs, comment and generator noise, and reducing it again
+        returns an equal one."""
+        obj = minimal_doc_obj()
+        obj["comment"] = "three buses, one of them a load"
+        doc = parse_document(obj)
+        reduced = reduce_document(doc)
+        assert type(reduced) is NetworkDocument
+        assert reduced.configs == doc.configs and reduced.comment == doc.comment
+        assert reduced.noise == (doc.noise[0], doc.noise[2])
+        assert reduce_document(reduced) == reduced
 
     def test_comment_preserved(self):
         doc = load_document(EXAMPLE)
@@ -456,13 +470,14 @@ class TestCli:
     def test_trajectory_csv_across_blocks_is_the_whole_table(self, tmp_path):
         """A run of three full blocks and a partial one is written block by
         block, each row as the whole table's row would be."""
-        system = reduce_document(load_document(EXAMPLE))
+        document = load_document(EXAMPLE)
+        system = reduce_document(document)
         model = assemble_closed_loop(system.network, system.configs, system.noise)
         config = SimConfig(dt=0.01, horizon=(3 * BLOCK_STEPS + 17) * 0.01, seed=2,
                            noise_enabled=True, disturbances=system.disturbances)
         trajectory = simulate_stochastic(model, config)
         path = tmp_path / "trajectory.csv"
-        _write_trajectory_csv(path, trajectory, system.bus_ids)
+        _write_trajectory_csv(path, trajectory, document.network.generator_ids)
         table = np.hstack([trajectory.times[:, None], trajectory.theta_dev,
                            trajectory.omega_dev, trajectory.q_r_dev, trajectory.x])
         header, *rows = path.read_text().splitlines()
@@ -813,6 +828,11 @@ OVERFLOWS = {
                                              **{("lines", k, "susceptance"): 1e-3
                                                 for k in range(12)}},
                             "steady-state angles are not finite"),
+    "stability-damping-plus-governor-slope": ("stability", {("buses", 0, "damping"): 1.7e308,
+                                                            ("buses", 0, "governor_droop"):
+                                                            1.2e-308},
+                                              "generator bus 0: damping plus governor slope "
+                                              "1/governor_droop must be finite"),
     "steady-state-damping-sum": ("steady-state", {("buses", i, "damping"): 1e308 for i in (0, 1)},
                                  "damping and droop slopes sum to a non-finite total damping"),
     "stability-laplacian": ("stability", {("lines", 0, "susceptance"): 1e308,

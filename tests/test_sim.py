@@ -25,6 +25,7 @@ from gridfreq import (
     steady_state,
     uniform_fleet,
 )
+from gridfreq.cli import _write_trajectory_csv
 from gridfreq.errors import InjectionOverflow
 from gridfreq.sim import BLOCK_STEPS, _input_events
 from conftest import high_noise, random_connected_network, ten_bus_network
@@ -84,17 +85,19 @@ class TestSimConfig:
     @pytest.mark.parametrize("noise", [False, True], ids=["deterministic", "stochastic"])
     def test_memory_bound_counts_the_run_s_peak(self, monkeypatch, ten_bus, idroop_fleet, noise):
         """1000 steps of 30 states and 10 buses hold 0.24 MB of states but
-        0.83 MB at their peak, their times, the metrics' row sums and one
-        block's temporaries included; a machine with memory in between
-        rejects the run, and one with the full need runs it."""
+        1.16 MB at their peak, their times, the metrics' row sums, one
+        block's temporaries and one block's CSV table included; a machine
+        with memory in between rejects the run, and one with the full need
+        runs it."""
         model = assemble_closed_loop(ten_bus, idroop_fleet)
         config = SimConfig(dt=0.01, horizon=10.0, seed=1 if noise else None, noise_enabled=noise)
         simulate = simulate_stochastic if noise else simulate_deterministic
-        need = (1001 * (30 + 1) + 1002 // 2 + (BLOCK_STEPS + 1) * (30 + 4 * 10)) * 8
+        need = (1001 * (30 + 1) + 1002 // 2
+                + (BLOCK_STEPS + 1) * (30 + 4 * 10 + 1 + 3 * 10 + 10)) * 8
         pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 40_000}
         assert 1001 * 30 * 8 < 8 * 40_000 < need
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-        with pytest.raises(ValidationError, match=r"^1e\+03 steps \(horizon / dt\) need 8\.26e\+05 "
+        with pytest.raises(ValidationError, match=r"^1e\+03 steps \(horizon / dt\) need 1\.16e\+06 "
                                                   r"bytes at the run's peak, more than the "
                                                   r"3\.2e\+05 bytes of physical memory$"):
             simulate(model, config)
@@ -106,17 +109,45 @@ class TestSimConfig:
     def test_run_and_metrics_stay_within_the_count(self, ten_bus, idroop_fleet, noise, horizon):
         """tracemalloc's peak over a run and its metrics is at most the bytes
         that the memory bound counts: d + 1 floats a step, half a float a step
-        of the metrics' row sums and one block of d + 4n floats a row."""
+        of the metrics' row sums and one block of d + 4n floats a row for its
+        temporaries and 1 + 3n + n_idroop for the CSV's table."""
         model = assemble_closed_loop(ten_bus, idroop_fleet, high_noise(10))
         config = SimConfig(dt=0.01, horizon=horizon, disturbances=STEP,
                            seed=1 if noise else None, noise_enabled=noise)
         simulate = simulate_stochastic if noise else simulate_deterministic
         model.reference  # solved once, outside the trace
         steps = round(horizon / 0.01)
-        count = ((steps + 1) * (30 + 1) + (steps + 2) // 2 + (BLOCK_STEPS + 1) * (30 + 4 * 10)) * 8
+        count = ((steps + 1) * (30 + 1) + (steps + 2) // 2
+                 + (BLOCK_STEPS + 1) * (30 + 4 * 10 + 1 + 3 * 10 + 10)) * 8
         tracemalloc.start()
         try:
             compute_metrics(simulate(model, config))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (steps + 1) * 30 * 8 < peak <= count
+
+    @pytest.mark.parametrize("horizon", [10.0, 30.0, SEAMS_HORIZON],
+                             ids=["one-block", "30s", "seams"])
+    @pytest.mark.parametrize("noise", [False, True], ids=["deterministic", "stochastic"])
+    def test_run_metrics_and_csv_stay_within_the_count(self, tmp_path, ten_bus, idroop_fleet,
+                                                       noise, horizon):
+        """Writing the trajectory CSV as well keeps tracemalloc's peak within
+        the count: each block's table holds 1 + 3n + n_idroop floats a row,
+        and its rows become Python floats one row at a time."""
+        model = assemble_closed_loop(ten_bus, idroop_fleet, high_noise(10))
+        config = SimConfig(dt=0.01, horizon=horizon, disturbances=STEP,
+                           seed=1 if noise else None, noise_enabled=noise)
+        simulate = simulate_stochastic if noise else simulate_deterministic
+        model.reference  # solved once, outside the trace
+        steps = round(horizon / 0.01)
+        count = ((steps + 1) * (30 + 1) + (steps + 2) // 2
+                 + (BLOCK_STEPS + 1) * (30 + 4 * 10 + 1 + 3 * 10 + 10)) * 8
+        tracemalloc.start()
+        try:
+            trajectory = simulate(model, config)
+            compute_metrics(trajectory)
+            _write_trajectory_csv(tmp_path / "trajectory.csv", trajectory, range(10))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
