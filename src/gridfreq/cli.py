@@ -82,13 +82,14 @@ def _write_trajectory_csv(path: Path, trajectory, bus_ids) -> None:
         + [f"q_r_dev_{i}" for i in bus_ids]
         + [f"x_{bus_ids[i]}" for i in trajectory.model.idroop_buses]
     )
-    dt = trajectory.config.dt
+    dt, x_star = trajectory.config.dt, trajectory.model.reference.x_star
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for rows, q_r, x in trajectory.blocks():  # a whole table copies the run
+        for rows, q_r in trajectory.blocks():  # a whole table copies the run
             # the times' own expression, k * dt, for this block's rows only
             table = np.hstack([np.arange(rows.start, rows.stop)[:, None] * dt,
-                               trajectory.theta_dev[rows], trajectory.omega_dev[rows], q_r, x])
+                               trajectory.theta_dev[rows], trajectory.omega_dev[rows], q_r,
+                               trajectory.states[rows, 2 * trajectory.model.n_buses :] + x_star])
             for row in table:  # one row of Python floats at a time
                 fh.write(",".join(map(repr, row.tolist())) + "\n")
 

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError, _is_finite, _records, _require
+from .errors import NumericalError, ValidationError, _is_finite, _records, _require
 from .network import Bus, _bus_violations
 
 __all__ = [
@@ -196,7 +196,7 @@ def check_decentralized_stability(configs, buses) -> StabilityCertificate:
 
     Buses not running IDROOP cannot violate the condition and are reported
     as vacuously passing with a note; the certificate only covers the
-    IDROOP part of a mixed fleet.
+    IDROOP part of a mixed fleet.  A unit whose values overflow raises NumericalError.
     """
     configs, _, _, damping, rg_inv = _fleet(buses, configs)
     rows = []
@@ -212,8 +212,16 @@ def check_decentralized_stability(configs, buses) -> StabilityCertificate:
             continue
         rr_inv = 1.0 / cfg.r_r
         denom = cfg.delta * (cfg.nu + rr_inv)
+        unit = f"IDROOP inverter with r_r {cfg.r_r}, delta {cfg.delta}, nu {cfg.nu}"
+        if denom == 0.0:
+            raise NumericalError(f"{unit}: delta * (nu + 1/r_r) = 0.0 has no finite inverse")
         condition1 = cfg.nu / denom
         condition2 = d + cfg.nu * rr_inv / (cfg.nu + rr_inv)
+        t_value = 1.0 / denom
+        for name, value in (("condition1", condition1), ("condition2", condition2),
+                            ("t_value", t_value)):
+            if not math.isfinite(value):
+                raise NumericalError(f"{unit}: stability {name} is not finite ({value})")
         passed = condition1 > 0.0 and condition2 > 0.0
         note = ""
         if abs(condition1) < MARGINAL_TOL or abs(condition2) < MARGINAL_TOL:
@@ -222,7 +230,7 @@ def check_decentralized_stability(configs, buses) -> StabilityCertificate:
         rows.append(
             StabilityCondition(
                 bus=bus.id, applies=True, condition1=condition1,
-                condition2=condition2, t_value=1.0 / denom, passed=passed, note=note,
+                condition2=condition2, t_value=t_value, passed=passed, note=note,
             )
         )
     return StabilityCertificate(conditions=tuple(rows))

@@ -25,9 +25,9 @@ deliberately not suppressed.
 
 The inverter-power trace is the model's output q_r_dev = power @ z +
 power_injection @ u, so the control laws are encoded in dynamics only.  A
-run keeps its model and its config, and derives that trace and the
-dynamic-droop states from its states, block by block, whenever the metrics
-or a caller reads them.
+run keeps its model and its config, and derives that trace from its states,
+block by block, whenever the metrics or a caller reads it.  No metric reads
+the steady state: only the absolute dynamic-droop states x solve it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dynamics import StateSpaceModel, SteadyState
+from .dynamics import StateSpaceModel
 from .errors import (InjectionOverflow, NumericalError, SimulationDiverged, ValidationError,
                      _is_finite, _is_integer, _records, _require)
 
@@ -108,10 +108,10 @@ class Trajectory:
     and u is the event table that :func:`_input_events` builds from the
     disturbances.  theta_dev/omega_dev are views of the states, relative to
     the model's reference steady state.  q_r_dev = power @ z +
-    power_injection @ u and x, the absolute dynamic-droop states (columns
-    follow the model's ``idroop_buses``), are computed on each read and never
-    cached; :meth:`blocks` yields both one block at a time.  x solves the
-    reference steady state on its first read and raises where that fails.
+    power_injection @ u is computed on each read, never cached, and
+    :meth:`blocks` yields it a block at a time.  x, the absolute dynamic-droop
+    states (columns follow ``idroop_buses``), solves the reference steady
+    state on its first read and raises where that fails.
     """
 
     states: np.ndarray
@@ -134,36 +134,34 @@ class Trajectory:
     @property
     def q_r_dev(self) -> np.ndarray:
         whole = np.empty((len(self.states), self.model.n_buses))
-        for rows, q_r, _ in self.blocks():
+        for rows, q_r in self.blocks():
             whole[rows] = q_r
         return whole
 
     @property
     def x(self) -> np.ndarray:
-        # elementwise, so bit for bit the rows of blocks(), without their power trace
+        # elementwise, so bit for bit the sums the CSV writes block by block
         return self.states[:, 2 * self.model.n_buses :] + self.model.reference.x_star
 
     def blocks(self):
-        """Yield (rows, q_r_dev rows, x rows) for each block of the run.  A
-        block's power trace is one product of its rows, so the last block
-        takes up to BLOCK_STEPS + 1 rows, as the march's do."""
-        model, x_star = self.model, self.model.reference.x_star
-        events = _input_events(self.config, model.n_buses)
+        """Yield (rows, q_r_dev rows) for each block of the run.  A block's
+        power trace is one product of its rows, so the last block takes up
+        to BLOCK_STEPS + 1 rows, as the march's do."""
+        events = _input_events(self.config, self.model.n_buses)
         for rows in _blocks(len(self.states)):
-            states = self.states[rows]
             with np.errstate(over="ignore", invalid="ignore"):  # overflows are named by the metrics
-                q_r = _inputs(*events, rows) @ model.power_injection.T
-                q_r += states @ model.power.T
-                x = states[:, 2 * model.n_buses :] + x_star
-            yield rows, q_r, x
+                q_r = _inputs(*events, rows) @ self.model.power_injection.T
+                q_r += self.states[rows] @ self.model.power.T
+            yield rows, q_r
 
 
 @dataclass(frozen=True)
 class Metrics:
-    """nadir: signed extremal frequency deviation; settling_frequency: mean
-    deviation over the final 10% of the horizon; peak_inverter_power: max
-    |q_r deviation|; empirical_output_variance: time average of sum(dw_i^2)
-    over the final 50% (the stationary-variance estimator)."""
+    """nadir: signed extremal frequency deviation in the settling mean's
+    direction; settling_frequency: mean deviation over the final 10% of the
+    horizon; peak_inverter_power: max |q_r deviation|; empirical_output_variance:
+    time average of sum(dw_i^2) over the final 50% (the stationary-variance
+    estimator)."""
 
     nadir: float
     settling_frequency: float
@@ -329,13 +327,8 @@ def simulate_stochastic(model: StateSpaceModel, config: SimConfig,
     return _march(model, config, initial_state)
 
 
-def compute_metrics(trajectory: Trajectory, steady: SteadyState | None = None) -> Metrics:
-    """Summarize a trajectory.
-
-    The nadir is the frequency excursion in the direction of the disturbance
-    (the post-event steady state, when supplied, fixes that direction;
-    otherwise the settling mean does).
-    """
+def compute_metrics(trajectory: Trajectory) -> Metrics:
+    """Summarize a trajectory from its states alone; no steady state is solved."""
     omega = trajectory.omega_dev
     n_samples = omega.shape[0]
     tail10 = omega[int(np.floor(0.9 * n_samples)) :]
@@ -348,20 +341,16 @@ def compute_metrics(trajectory: Trajectory, steady: SteadyState | None = None) -
             (omega[blk] ** 2).sum(axis=1, out=sums[blk.start - half : blk.stop - half])
         variance = float(sums.mean()) if tail50.size else 0.0
 
-    if steady is not None:
-        direction = steady.omega0 - trajectory.model.reference.omega0
-    else:
-        direction = settling
-    if direction < 0:
+    if settling < 0:
         nadir = float(omega.min())
-    elif direction > 0:
+    elif settling > 0:
         nadir = float(omega.max())
     else:  # the first largest |omega|: each block's first, then the first of those
         peaks = np.array([omega[blk].flat[np.abs(omega[blk]).argmax()]
                           for blk in _blocks(n_samples)] if omega.size else [0.0])
         nadir = float(peaks[np.abs(peaks).argmax()])
 
-    peaks = [np.abs(q_r).max() for _, q_r, _ in trajectory.blocks() if q_r.size]
+    peaks = [np.abs(q_r).max() for _, q_r in trajectory.blocks() if q_r.size]
     peak = float(np.max(peaks)) if peaks else 0.0
     metrics = Metrics(
         nadir=nadir,

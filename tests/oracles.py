@@ -205,10 +205,10 @@ def rk4_step(a, injection, z, u, dt):
     return z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def reference_metrics(trajectory, steady=None):
+def reference_metrics(trajectory):
     """compute_metrics from whole-array reductions: the settling mean of the
     last 10% of omega, the mean row sum of omega**2 over the last 50%, the
-    extremum of omega in the disturbance's direction and the largest |q_r|."""
+    extremum of omega in the settling mean's direction and the largest |q_r|."""
     omega = trajectory.omega_dev
     n_samples = omega.shape[0]
     tail10 = omega[int(np.floor(0.9 * n_samples)) :]
@@ -217,13 +217,9 @@ def reference_metrics(trajectory, steady=None):
         settling = float(tail10.mean()) if tail10.size else 0.0
         variance = float((tail50**2).sum(axis=1).mean()) if tail50.size else 0.0
 
-    if steady is not None:
-        direction = steady.omega0 - trajectory.model.reference.omega0
-    else:
-        direction = settling
-    if direction < 0:
+    if settling < 0:
         nadir = float(omega.min())
-    elif direction > 0:
+    elif settling > 0:
         nadir = float(omega.max())
     else:
         flat = omega.reshape(-1)

@@ -182,8 +182,9 @@ class TestValidateOnce:
     ], ids=["steady-state", "stability", "h2", "h2-closed-form", "modal", "simulate",
             "h2-sweep", "nadir-sweep"])
     def test_each_command_gates_its_fleet_once(self, monkeypatch, capsys, tmp_path, command):
-        """Every command reads each bus through the fleet gate exactly once, and
-        steady-state solves its steady state once."""
+        """Every command reads each bus through the fleet gate exactly once.
+        steady-state solves its steady state once, and simulate once for the
+        CSV's x columns; no other command solves one, the metrics included."""
         if command[0] == "sweep":
             spec = {"axes": [{"name": "r_r", "min": 5.0, "max": 30.0, "count": 2}],
                     "metric": command[1]}
@@ -198,8 +199,7 @@ class TestValidateOnce:
         solves = count_calls(monkeypatch, gridfreq.dynamics, "_steady_state")
         assert main([*command, "--network", EXAMPLE_DC]) == 0
         assert seen == list(range(10))
-        if command[0] == "steady-state":
-            assert len(solves) == 1
+        assert len(solves) == (1 if command[0] in ("steady-state", "simulate") else 0)
         capsys.readouterr()
 
 
@@ -798,8 +798,9 @@ BAD_STEP_FLAGS = {
 # Numbers that pass the finite check of their field but overflow the model:
 # a reciprocal (1/m, 1/r_g, 1/r_r), a Laplacian row sum, the swing row b/m
 # of A, the sums of injections, setpoints or damping that fix the
-# synchronous frequency, or the steady-state angles.  Each gets a named
-# error instead of NaN output or a raw traceback from inside numpy.
+# synchronous frequency, the steady-state angles, or an IDROOP unit's
+# stability conditions.  Each gets a named error instead of NaN output or a
+# raw traceback from inside numpy.
 TINY = 1e-320
 NET_INJECTION = "bus injections and inverter setpoints q0 sum to a non-finite net injection"
 OVERFLOWS = {
@@ -835,6 +836,22 @@ OVERFLOWS = {
                                               "1/governor_droop must be finite"),
     "steady-state-damping-sum": ("steady-state", {("buses", i, "damping"): 1e308 for i in (0, 1)},
                                  "damping and droop slopes sum to a non-finite total damping"),
+    "stability-zero-denominator": ("stability", {("inverters", 0, "delta"): 5e-324,
+                                                 ("inverters", 0, "nu"): 0.0,
+                                                 ("inverters", 0, "r_r"): 1e300},
+                                   "IDROOP inverter with r_r 1e+300, delta 5e-324, nu 0.0: "
+                                   "delta * (nu + 1/r_r) = 0.0 has no finite inverse"),
+    "stability-condition2-nan": ("stability", {("inverters", 0, "nu"): 1e308,
+                                               ("inverters", 0, "r_r"): 1e-308},
+                                 "IDROOP inverter with r_r 1e-308, delta 6.0, nu 1e+308: "
+                                 "stability condition2 is not finite (nan)"),
+    "stability-condition1-inf": ("stability", {("inverters", 0, "delta"): 5e-324},
+                                 "IDROOP inverter with r_r 15.0, delta 5e-324, nu 0.9: "
+                                 "stability condition1 is not finite (inf)"),
+    "stability-condition2-inf": ("stability", {("inverters", 0, "nu"): 1e200,
+                                               ("inverters", 0, "r_r"): 1e-200},
+                                 "IDROOP inverter with r_r 1e-200, delta 6.0, nu 1e+200: "
+                                 "stability condition2 is not finite (inf)"),
     "stability-laplacian": ("stability", {("lines", 0, "susceptance"): 1e308,
                                           ("lines", 1, "susceptance"): 1e308},
                             "bus 1: susceptances sum to a non-finite Laplacian entry"),

@@ -1,8 +1,9 @@
+import math
 import os
 import re
 import tracemalloc
 import warnings
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from gridfreq import (
     Bus,
     Disturbance,
     InverterConfig,
+    Metrics,
     NoiseGains,
     NumericalError,
     PowerNetwork,
@@ -70,17 +72,30 @@ class TestSimConfig:
                            match="^disturbances must be Disturbance records, got 1$"):
             SimConfig(disturbances=[1])
 
-    def test_run_needs_no_steady_state_and_its_metrics_name_the_failure(self, ten_bus, dc_fleet):
-        """The march never solves the model's reference steady state: a run
-        whose net injection overflows returns its states, and the metrics,
-        which read that steady state, raise its error."""
+    def test_run_and_metrics_need_no_steady_state_and_x_names_the_failure(self, ten_bus, dc_fleet):
+        """Neither the march nor the metrics solve the model's reference steady
+        state: a run whose net injection overflows returns its states and its
+        metrics, and only x, which reads that steady state, raises its error."""
         net = PowerNetwork([replace(b, injection=1e308) for b in ten_bus.buses], ten_bus.lines)
         trajectory = simulate_deterministic(assemble_closed_loop(net, dc_fleet),
                                             SimConfig(dt=0.01, horizon=1.0))
         assert trajectory.states.shape == (101, 20) and not trajectory.states.any()
+        assert compute_metrics(trajectory) == Metrics(0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValidationError, match="^bus injections and inverter setpoints q0 sum "
                                                   "to a non-finite net injection$"):
-            compute_metrics(trajectory)
+            trajectory.x
+
+    def test_model_without_steady_state_is_measured(self):
+        """A fleet with zero total damping has no synchronous frequency, yet
+        its run and its metrics are finite; only x asks for the steady state."""
+        model = assemble_closed_loop(ten_bus_network(damping=0.0, governor_droop=math.inf),
+                                     uniform_fleet(10, "CP"))
+        trajectory = simulate_deterministic(model, SimConfig(
+            dt=0.01, horizon=2.0, disturbances=(Disturbance(time=0.5, bus=9, delta_p=-0.5),)))
+        metrics = compute_metrics(trajectory)
+        assert np.isfinite(astuple(metrics)).all() and metrics.nadir < 0.0
+        with pytest.raises(ValidationError, match="^zero total damping"):
+            trajectory.x
 
     @pytest.mark.parametrize("noise", [False, True], ids=["deterministic", "stochastic"])
     def test_memory_bound_counts_the_run_s_peak(self, monkeypatch, ten_bus, idroop_fleet, noise):
@@ -338,7 +353,7 @@ class TestDeterministic:
             model, SimConfig(dt=0.01, horizon=30.0, disturbances=STEP)
         )
         post = steady_state(stepped_network(net), cfgs)
-        metrics = compute_metrics(trajectory, post)
+        metrics = compute_metrics(trajectory)
         assert metrics.settling_frequency == pytest.approx(post.omega0, abs=1e-4)
 
 
@@ -607,8 +622,6 @@ class TestMetricsAgainstReference:
         assert metrics == oracles.reference_metrics(trajectory)
         if delta_p == 0.0:
             assert metrics.nadir == 0.0  # the direction-0 branch
-        post = steady_state(stepped_network(ten_bus, delta_p=delta_p or 0.0), fleet)
-        assert compute_metrics(trajectory, post) == oracles.reference_metrics(trajectory, post)
 
 
     @pytest.mark.parametrize("peaks", [
